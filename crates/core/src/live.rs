@@ -21,7 +21,9 @@
 //!   start; the capture thread writes each packet straight into a cell of
 //!   the chunk it is filling, and consumers read borrowed `&[u8]` slices
 //!   through [`ChunkView`] ([`LiveConsumer::view`]). A [`LiveChunk`] is
-//!   a ~16-byte handle, not a packet vector;
+//!   a ~112-byte handle (seal token, sequence number, inline span
+//!   stamps), not a packet vector — and at light load one crosses a
+//!   ring per packet, so its size is pinned by a `const` assertion;
 //! * chunk hand-off uses one [`BatchRing`] per (target queue, producer)
 //!   pair — strictly single-producer, so a whole batch of chunks is
 //!   published with a single release store. Buddy-group offloading picks
@@ -29,7 +31,12 @@
 //!   offload path needs no fallback and can never lose a chunk to a full
 //!   queue;
 //! * recycling returns the sealed slot through a small MPMC queue sized
-//!   R — it can never be full because only R slots exist per queue.
+//!   R — it can never be full because only R slots exist per queue;
+//! * a chunk is sealed when it is full, when it has waited
+//!   `capture_timeout_ns`, or — *idle hand-off* (DESIGN.md §4.7) — when
+//!   a poll comes back empty while every other chunk of the queue's
+//!   pool is home: batch size follows the consumer's pace, one packet
+//!   per chunk when it is idle, M per chunk the moment it falls behind.
 //!
 //! [`LiveConsumer::recycle`] consumes the [`LiveChunk`] by value, which
 //! statically invalidates every [`ChunkView`] borrowed from it — the
@@ -53,7 +60,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use telemetry::{
     clock, dump, kind, EngineSnapshot, Observable, PipelineConfig, QueueTelemetry, Registry,
     SpanRecord, SpanStamps, TelemetryPipeline, TraceEvent,
@@ -81,6 +88,10 @@ pub struct LiveChunk {
     /// stage — plain `u64`s, no atomics, no allocation.
     pub(crate) span: Option<SpanStamps>,
 }
+
+// Idle hand-off moves one handle through a delivery ring per packet at
+// light load: growing it past two cache lines is a decision, not drift.
+const _: () = assert!(std::mem::size_of::<LiveChunk>() <= 128);
 
 impl LiveChunk {
     /// Packets the chunk holds.
@@ -154,9 +165,10 @@ pub(crate) struct Shared {
     /// Woken whenever a capture thread publishes chunks or closes its
     /// rings; pool workers park here when their queues go quiet.
     pub(crate) delivery_gate: WakeupGate,
-    /// Woken at shutdown; capture threads park here when the NIC is
-    /// idle (NIC arrivals are invisible to the gate, so capture parks
-    /// are bounded by the adaptive poller's park timeout).
+    /// Woken at shutdown and whenever a slot is recycled; capture
+    /// threads park here when the NIC is idle or their pool is
+    /// exhausted (NIC arrivals are invisible to the gate, so capture
+    /// parks are bounded by the adaptive poller's park timeout).
     pub(crate) capture_gate: WakeupGate,
     /// Concurrent single-queue consumption (DESIGN.md §4.12): one
     /// lock-free claim queue per *target* queue, replacing the SPSC
@@ -532,7 +544,9 @@ struct CaptureState {
     q: usize,
     free: Vec<FreeSlot>,
     current: Option<FreeSlot>,
-    chunk_started: Instant,
+    /// When the current chunk was claimed: the [`Self::now_ns`] stamp of
+    /// the poll batch that claimed it, so claiming reads no clock.
+    chunk_started_ns: u64,
     /// Chunks sealed this iteration, staged per target queue.
     outbox: Vec<Vec<LiveChunk>>,
     /// Scratch for buddy placement decisions.
@@ -570,13 +584,12 @@ fn capture_thread(
         q,
         free,
         current: None,
-        chunk_started: Instant::now(),
+        chunk_started_ns: 0,
         outbox: (0..queues).map(|_| Vec::new()).collect(),
         lens: Vec::with_capacity(queues),
         next_seq: 0,
         now_ns: clock::mono_ns(),
     };
-    let timeout = Duration::from_nanos(cfg.capture_timeout_ns);
     let cap = &shared.tel.queue(q).cap;
     // Set when the backend returns a fatal poll/recycle error: the
     // queue then closes through the normal flush path (DESIGN.md
@@ -632,7 +645,7 @@ fn capture_thread(
                     }
                     match st.free.pop() {
                         Some(slot) => {
-                            st.chunk_started = Instant::now();
+                            st.chunk_started_ns = st.now_ns;
                             st.current = Some(slot);
                         }
                         None => {
@@ -683,15 +696,40 @@ fn capture_thread(
             }
         }
 
-        // Timeout partial delivery.
-        if st.current.as_ref().is_some_and(|s| !s.is_empty())
-            && st.chunk_started.elapsed() >= timeout
-        {
-            cap.partial_chunks.inc_local();
-            let partial = st.current.take().expect("checked non-empty");
-            st.now_ns = clock::mono_ns();
-            stage(&shared, &cfg, group.as_ref(), &arena, partial, &mut st);
-            flush(&shared, &mut st);
+        // Partial delivery. A non-empty partial reaches this point only
+        // after a poll came back empty (or the backend died, and the
+        // closing path below seals it regardless), and is sealed early
+        // by one of two rules:
+        //
+        // * idle hand-off (DESIGN.md §4.7) — every other chunk of this
+        //   pool is home, so nothing of ours is queued at or held by a
+        //   consumer and waiting for M only adds latency. The rule
+        //   declines until that chunk is recycled, so at most one
+        //   early-sealed chunk is ever outstanding and every chunk
+        //   claimed meanwhile fills to M: batch size follows the
+        //   consumer's pace. The seal reuses the last poll stamp;
+        // * capture timeout — the bound when the rule declines. One
+        //   clock read per idle iteration serves the deadline check, the
+        //   seal stamp and the park cap below.
+        let mut max_park = Duration::MAX;
+        if st.current.as_ref().is_some_and(|s| !s.is_empty()) {
+            let mut seal_now = st.free.len() + 1 == cfg.r;
+            if !seal_now {
+                let now = clock::mono_ns();
+                let held_ns = now.saturating_sub(st.chunk_started_ns);
+                if held_ns >= cfg.capture_timeout_ns {
+                    st.now_ns = now;
+                    seal_now = true;
+                } else {
+                    max_park = Duration::from_nanos(cfg.capture_timeout_ns - held_ns);
+                }
+            }
+            if seal_now {
+                cap.partial_chunks.inc_local();
+                let partial = st.current.take().expect("checked non-empty");
+                stage(&shared, &cfg, group.as_ref(), &arena, partial, &mut st);
+                flush(&shared, &mut st);
+            }
         }
 
         if progressed {
@@ -702,8 +740,10 @@ fn capture_thread(
             if q == 0 && dump::take_dump_request() {
                 dump::dump_snapshot(&engine_snapshot(&shared, backend.as_ref(), &cfg));
             }
-            // Ticket before the stop check: a shutdown() notify after
-            // this point turns the park into an immediate return.
+            // Ticket before the final work checks (the stop flag, the
+            // recycle queue): a shutdown() or a slot coming home after
+            // this point notifies the gate, which turns the park below
+            // into an immediate return.
             let ticket = shared.capture_gate.ticket();
             let ending = stop.load(Ordering::SeqCst)
                 || backend_dead
@@ -762,16 +802,18 @@ fn capture_thread(
                 shared.delivery_gate.notify();
                 return;
             }
+            // A slot that came home since this iteration's drain may be
+            // the one the idle hand-off rule, or an exhausted pool, is
+            // waiting for: go round again rather than park on it.
+            if !shared.recycle[q].is_empty() {
+                continue;
+            }
             // Adaptive idling: spin → yield → bounded park. NIC
             // arrivals cannot notify the gate, so parks are bounded by
             // the park timeout — and, while a non-empty partial chunk
-            // is held, by its remaining capture-timeout budget, so the
-            // partial-delivery deadline is never overslept.
-            let max_park = if st.current.as_ref().is_some_and(|s| !s.is_empty()) {
-                timeout.saturating_sub(st.chunk_started.elapsed())
-            } else {
-                Duration::MAX
-            };
+            // is held, by its remaining capture-timeout budget
+            // (`max_park`), so the partial-delivery deadline is never
+            // overslept.
             poller.idle_capped(&shared.capture_gate, ticket, max_park);
         }
     }
@@ -1357,24 +1399,25 @@ mod tests {
         }
         nic.stop();
         let mut c = cap.consumer(0);
-        let chunk = c.next_chunk().expect("one full chunk");
-        assert_eq!(chunk.len(), 64);
-        let allocs_before = crate::arena::arena_allocations();
-        {
-            let view = c.view(&chunk);
-            for (i, p) in view.iter().enumerate() {
-                assert_eq!(p.data, &injected[i].data[..], "packet {i} payload");
-                assert_eq!(p.ts_ns, injected[i].ts_ns);
-                assert_eq!(p.wire_len, injected[i].wire_len);
+        // An idle hand-off may have sealed the first arrivals early, so
+        // the 64 packets span one chunk or a few; order is preserved.
+        let mut seen = 0;
+        while let Some(chunk) = c.next_chunk() {
+            let allocs_before = crate::arena::arena_allocations();
+            for p in c.view(&chunk).iter() {
+                assert_eq!(p.data, &injected[seen].data[..], "packet {seen} payload");
+                assert_eq!(p.ts_ns, injected[seen].ts_ns);
+                assert_eq!(p.wire_len, injected[seen].wire_len);
+                seen += 1;
             }
+            assert_eq!(
+                crate::arena::arena_allocations(),
+                allocs_before,
+                "view consumption must not allocate"
+            );
+            c.recycle(chunk);
         }
-        assert_eq!(
-            crate::arena::arena_allocations(),
-            allocs_before,
-            "view consumption must not allocate"
-        );
-        c.recycle(chunk);
-        assert!(c.next_chunk().is_none());
+        assert_eq!(seen, injected.len());
         cap.shutdown();
     }
 
@@ -1411,28 +1454,41 @@ mod tests {
     #[test]
     fn partial_timeout_fires_on_stragglers() {
         let nic = LiveNic::new(1, 128);
-        let cap = start(&nic, test_cfg(), BuddyGroups::isolated(1));
-        // 10 packets: far less than M = 64, so only the timeout path can
-        // deliver them.
-        for p in packets(10) {
+        let cfg = test_cfg();
+        let cap = start(&nic, cfg, BuddyGroups::isolated(1));
+        let mut c = cap.consumer(0);
+        let mut pkts = packets(11).into_iter();
+        // Keep one chunk outstanding so the idle hand-off rule declines:
+        // a lone packet is handed off at once, and held.
+        nic.inject(pkts.next().unwrap()).unwrap();
+        let held = c.next_chunk().expect("idle hand-off should deliver");
+        assert_eq!(held.len(), 1);
+        // 10 stragglers: far less than M = 64, and the pool is not all
+        // home, so only the timeout path can deliver them.
+        let injected_at = std::time::Instant::now();
+        for p in pkts {
             nic.inject(p).unwrap();
         }
-        let mut c = cap.consumer(0);
         let chunk = c.next_chunk().expect("timeout should deliver");
+        assert!(
+            injected_at.elapsed() >= Duration::from_nanos(cfg.capture_timeout_ns),
+            "stragglers were sealed before the capture timeout"
+        );
         assert_eq!(chunk.len(), 10);
         assert_eq!(c.view(&chunk).len(), 10);
         c.recycle(chunk);
+        c.recycle(held);
         // Delivery tallies flush at batch boundaries (or consumer
         // drop), not per chunk.
         drop(c);
         let t = cap.telemetry(0);
-        assert_eq!(t.partial_chunks, 1);
-        assert_eq!(t.delivered_packets, 10);
-        assert_eq!(t.sealed_chunks, 1);
-        assert_eq!(t.chunk_fill.count, 1);
+        assert_eq!(t.partial_chunks, 2);
+        assert_eq!(t.delivered_packets, 11);
+        assert_eq!(t.sealed_chunks, 2);
+        assert_eq!(t.chunk_fill.count, 2);
         assert_eq!(t.chunk_fill.max, 10);
-        // One chunk recycled → one capture-to-delivery latency sample.
-        assert_eq!(t.latency_ns.count, 1);
+        // One capture-to-delivery latency sample per recycled chunk.
+        assert_eq!(t.latency_ns.count, 2);
         assert!(t.latency_ns.sum > 0, "seal stamp preceded recycle");
         nic.stop();
         cap.shutdown();

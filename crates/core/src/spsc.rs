@@ -5,9 +5,12 @@
 //! sharing dominate. [`BatchRing`] replaces it: a bounded single-producer
 //! single-consumer ring whose producer publishes up to [`MAX_BATCH`]
 //! items with **one** release store of the tail, and whose consumer
-//! claims up to a batch with one release store of the head. Head and
-//! tail live on separate cache lines ([`crossbeam::utils::CachePadded`])
-//! so producer and consumer never ping-pong a line.
+//! claims up to a batch with one release store of the head. Every
+//! field that is written after construction has a cache line of its own
+//! ([`crossbeam::utils::CachePadded`]): a hand-off moves the two cursor
+//! lines it must, each side's guard stays resident in its owner's cache,
+//! and a consumer polling an empty ring disturbs nothing the producer
+//! writes besides `tail`.
 //!
 //! The intended topology is strictly one producer and one consumer per
 //! ring (the live engine allocates one ring per (target queue, producer)
@@ -39,9 +42,12 @@ mod imp {
         head: CachePadded<AtomicUsize>,
         /// Producer cursor: next index to fill.
         tail: CachePadded<AtomicUsize>,
-        closed: AtomicBool,
-        push_guard: AtomicBool,
-        pop_guard: AtomicBool,
+        /// Written once, by [`BatchRing::close`].
+        closed: CachePadded<AtomicBool>,
+        /// Touched only by pushers: in the intended topology, one thread.
+        push_guard: CachePadded<AtomicBool>,
+        /// Touched only by poppers: in the intended topology, one thread.
+        pop_guard: CachePadded<AtomicBool>,
     }
 
     // Safety: items are moved in through push_batch and out through
@@ -81,9 +87,9 @@ mod imp {
                 mask: cap - 1,
                 head: CachePadded::new(AtomicUsize::new(0)),
                 tail: CachePadded::new(AtomicUsize::new(0)),
-                closed: AtomicBool::new(false),
-                push_guard: AtomicBool::new(false),
-                pop_guard: AtomicBool::new(false),
+                closed: CachePadded::new(AtomicBool::new(false)),
+                push_guard: CachePadded::new(AtomicBool::new(false)),
+                pop_guard: CachePadded::new(AtomicBool::new(false)),
             }
         }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# Tier-1 gate: formatting, lints, the full test suite, and a short run
-# of the hot-path benchmark (which must produce BENCH_hotpath.json).
+# Tier-1 gate: formatting, lints, the full test suite, the benchmark
+# contract (benchmark/ builds, passes its tests, and runs every
+# BENCHMARK.json workload correct and loss-free), and a short run of the
+# hot-path benchmark (which must produce BENCH_hotpath.json).
 # Run from anywhere; everything executes at the repository root.
 #
 # BENCH_hotpath.json schema (written by `cargo bench -p bench --bench
@@ -45,6 +47,59 @@ cargo test --workspace -q
 
 echo "==> snapshot schema golden test"
 cargo test -q --test snapshot_schema
+
+echo "==> benchmark contract (wcbench builds, its tests pass, all five workloads run correct)"
+# What the pipeline does to every PR, at two seconds a workload: build
+# benchmark/ offline against this checkout, run its own tests, then one
+# untraced run of each BENCHMARK.json workload through benchmark/run.sh.
+# Each must end in a result line with "correct":true and "failed":0 — an
+# engine change that breaks a public item wcbench reaches, loses a
+# packet, or unbalances the ledger fails here, not after the push. The
+# one number gated is the idle hand-off's (DESIGN.md section 4.7):
+# paced300k lat_p50_us is ~2 us with it and ~108 us (half a chunk fill
+# time) without, so >= 25 us means the rule stopped firing. paced300k's
+# own noise guard ("machine too noisy": the open-loop generator ran
+# > 5 ms late 8 times over) is the VM's fault, not the change's: retried
+# once, then reported as skipped.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bench_err=target/check-benchmark.err
+bench_run() {
+    bash benchmark/run.sh --workload "$1" --seed 1 --seconds 2 --trace 0 2>"$bench_err" | tail -n 1
+}
+bench_ok() {
+    case "$1" in
+        '{"correct":true,'*'"failed":0,'*) return 0 ;;
+        *) return 1 ;;
+    esac
+}
+bench_noisy() {
+    [ "$1" = paced300k ] && grep -q "machine too noisy" "$bench_err"
+}
+for w in wire64 wire1518 paced300k pool_skew buddy_skew; do
+    result=$(bench_run "$w")
+    if ! bench_ok "$result" && bench_noisy "$w"; then
+        echo "    $w: machine too noisy, retrying once"
+        result=$(bench_run "$w")
+    fi
+    if ! bench_ok "$result"; then
+        if bench_noisy "$w"; then
+            echo "    $w: SKIPPED (machine too noisy twice)"
+            continue
+        fi
+        echo "FAIL: benchmark/run.sh --workload $w did not end in a correct, loss-free result line" >&2
+        echo "      last line: $result" >&2
+        tail -n 5 "$bench_err" >&2
+        exit 1
+    fi
+    mpps=$(printf '%s' "$result" | sed -n 's/.*"delivered_mpps":{"value":\([0-9.eE+-]*\).*/\1/p')
+    p50=$(printf '%s' "$result" | sed -n 's/.*"lat_p50_us":{"value":\([0-9.eE+-]*\).*/\1/p')
+    printf '    %-10s correct, failed=0, delivered_mpps=%.3f lat_p50_us=%.2f\n' "$w" "$mpps" "$p50"
+    if [ "$w" = paced300k ] && ! awk -v p50="$p50" 'BEGIN { exit !(p50 < 25) }'; then
+        echo "FAIL: paced300k lat_p50_us $p50 >= 25: idle hand-off is not sealing at the consumer's pace" >&2
+        exit 1
+    fi
+done
 
 echo "==> hot-path benchmark (quick mode)"
 rm -f BENCH_hotpath.json

@@ -151,9 +151,10 @@ mod live_backends {
     use shmring::ShmRingNic;
     use std::net::Ipv4Addr;
     use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
     use wirecap::arena::arena_allocations;
     use wirecap::buddy::BuddyGroups;
-    use wirecap::live::LiveWireCap;
+    use wirecap::live::{LiveChunk, LiveConsumer, LiveWireCap};
     use wirecap::{CaptureBackend, LoopbackBackend, NicSimBackend, WireCapConfig};
 
     /// Serializes the live tests in this binary: `arena_allocations()`
@@ -330,6 +331,221 @@ mod live_backends {
                 t.captured_packets + t.capture_drop_packets >= 500,
                 "{name}: teardown lost pre-stop packets"
             );
+            assert_eq!(t.recycled_chunks, t.sealed_chunks, "{name}");
+        }
+    }
+
+    // --- Idle hand-off (DESIGN.md section 4.7) -------------------------
+    //
+    // The rule under test: an empty poll seals a non-empty partial chunk
+    // iff every other chunk of the queue's pool is home. Geometry R = 4,
+    // M = 8, and a capture timeout far beyond any test's lifetime, so a
+    // partial that reaches a consumer got there by the rule alone.
+
+    const R: usize = 4;
+    const M: usize = 8;
+
+    fn one_queue_engine(backend: &Arc<dyn LoopbackBackend>, cfg: WireCapConfig) -> LiveWireCap {
+        let upcast: Arc<dyn CaptureBackend> = backend.clone();
+        LiveWireCap::builder()
+            .backend(upcast)
+            .config(cfg)
+            .groups(BuddyGroups::isolated(1))
+            .start()
+    }
+
+    /// Starts a one-queue engine with the small geometry. The park
+    /// timeout is long next to the "promptly" bounds below, so only the
+    /// capture gate's wake-up — not a park running out — can meet them.
+    fn handoff_engine(backend: &Arc<dyn LoopbackBackend>) -> LiveWireCap {
+        let mut cfg = WireCapConfig::basic(M, R, 0);
+        cfg.ring_size = 2 * M;
+        cfg.capture_timeout_ns = 60_000_000_000;
+        cfg.park_timeout_ns = 200_000_000;
+        one_queue_engine(backend, cfg)
+    }
+
+    /// Polls `cond` (yielding) until it holds; panics after 10 s.
+    fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "timed out: {what}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Spins on `try_chunk` until a chunk arrives; panics after 10 s.
+    fn await_chunk(c: &mut LiveConsumer, what: &str) -> LiveChunk {
+        let mut got = None;
+        wait_for(what, || {
+            got = c.try_chunk();
+            got.is_some()
+        });
+        got.expect("wait_for returned")
+    }
+
+    /// Injects `n` packets and waits until the capture thread has
+    /// written all of them into chunks (`total` captured so far).
+    fn inject_and_settle(
+        backend: &dyn LoopbackBackend,
+        engine: &LiveWireCap,
+        builder: &mut PacketBuilder,
+        n: usize,
+        total: &mut u64,
+    ) {
+        for _ in 0..n {
+            let pkt = builder.build_packet(*total, &flow(3), 128).unwrap();
+            backend.inject(pkt).expect("ring has room");
+            *total += 1;
+        }
+        wait_for("capture thread absorbs the injected packets", || {
+            engine.telemetry(0).captured_packets == *total
+        });
+    }
+
+    #[test]
+    fn idle_handoff_delivers_a_lone_packet() {
+        let _live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        for backend in backends(1, 1024) {
+            let name = backend.name();
+            let mut cfg = live_cfg();
+            cfg.capture_timeout_ns = 1_000_000_000;
+            let engine = one_queue_engine(&backend, cfg);
+            let mut c = engine.consumer(0);
+            let pkt = PacketBuilder::new().build_packet(0, &flow(1), 128).unwrap();
+            let sent = Instant::now();
+            backend.inject(pkt).expect("empty ring");
+            let chunk = await_chunk(&mut c, "lone packet delivered");
+            let took = sent.elapsed();
+            assert!(
+                took < Duration::from_millis(50),
+                "{name}: a lone packet waited {took:?} with an idle consumer attached"
+            );
+            assert_eq!(chunk.len(), 1, "{name}");
+            c.recycle(chunk);
+            backend.stop().expect("stop backend");
+            assert!(c.next_chunk().is_none(), "{name}");
+            drop(c);
+            let t = engine.telemetry(0);
+            engine.shutdown();
+            assert_eq!(t.partial_chunks, 1, "{name}");
+            assert_eq!(t.sealed_chunks, 1, "{name}");
+            assert_eq!(t.delivered_packets, 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn at_most_one_early_seal_outstanding() {
+        let _live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        for backend in backends(1, 1024) {
+            let name = backend.name();
+            let engine = handoff_engine(&backend);
+            let mut c = engine.consumer(0);
+            let mut b = PacketBuilder::new();
+            let mut total = 0u64;
+
+            // The first packet is handed off early; the consumer takes
+            // the chunk and does not recycle it.
+            inject_and_settle(backend.as_ref(), &engine, &mut b, 1, &mut total);
+            let held = await_chunk(&mut c, "first packet handed off early");
+            assert_eq!(held.len(), 1, "{name}");
+
+            // A trickle of 2M + 3 more, the capture thread polling empty
+            // between bursts with a partial in hand every time.
+            for burst in [3, 3, 3, 3, 3, 3, 1] {
+                inject_and_settle(backend.as_ref(), &engine, &mut b, burst, &mut total);
+            }
+            assert_eq!(total as usize, 1 + 2 * M + 3);
+            // Time for a wrong seal of the remainder to show.
+            std::thread::sleep(Duration::from_millis(20));
+            let t = engine.telemetry(0);
+            assert_eq!(t.partial_chunks, 1, "{name}: a second early seal went out");
+            assert_eq!(t.sealed_chunks, 3, "{name}");
+            assert_eq!(t.capture_drop_packets + t.nic_drop_packets, 0, "{name}");
+            let full: Vec<LiveChunk> = std::iter::from_fn(|| c.try_chunk()).collect();
+            assert_eq!(
+                full.iter().map(LiveChunk::len).collect::<Vec<_>>(),
+                [M, M],
+                "{name}: chunks sealed behind an outstanding early seal must be full"
+            );
+
+            // Everything sealed so far goes home: the capture thread —
+            // parked for 200 ms at a time by now — is woken by the
+            // recycle and hands the remainder off at once.
+            let recycled_at = Instant::now();
+            c.recycle(held);
+            full.into_iter().for_each(|chunk| c.recycle(chunk));
+            let rest = await_chunk(&mut c, "remainder handed off after recycle");
+            let took = recycled_at.elapsed();
+            assert!(
+                took < Duration::from_millis(100),
+                "{name}: remainder took {took:?} after the pool came home"
+            );
+            assert_eq!(rest.len(), 3, "{name}");
+            c.recycle(rest);
+
+            backend.stop().expect("stop backend");
+            assert!(c.next_chunk().is_none(), "{name}");
+            drop(c);
+            let t = engine.telemetry(0);
+            engine.shutdown();
+            assert_eq!(t.partial_chunks, 2, "{name}");
+            assert_eq!(t.delivered_packets, total, "{name}");
+            assert_eq!(t.recycled_chunks, t.sealed_chunks, "{name}");
+        }
+    }
+
+    #[test]
+    fn an_early_seal_costs_less_than_one_chunk_of_capacity() {
+        let _live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        for backend in backends(1, 1024) {
+            let name = backend.name();
+            let engine = handoff_engine(&backend);
+            let mut c = engine.consumer(0);
+            let mut b = PacketBuilder::new();
+            let mut total = 0u64;
+
+            // Worst case for the pool: the one early-sealed chunk that
+            // can be outstanding holds a single packet and never comes
+            // home. The other R - 1 chunks still absorb M each.
+            inject_and_settle(backend.as_ref(), &engine, &mut b, 1, &mut total);
+            let held = await_chunk(&mut c, "first packet handed off early");
+            assert_eq!(held.len(), 1, "{name}");
+            inject_and_settle(backend.as_ref(), &engine, &mut b, (R - 1) * M, &mut total);
+            let t = engine.telemetry(0);
+            assert_eq!(t.captured_packets as usize, (R - 1) * M + 1, "{name}");
+            assert_eq!(t.capture_drop_packets + t.nic_drop_packets, 0, "{name}");
+            assert_eq!(t.sealed_chunks as usize, R, "{name}");
+            assert_eq!(t.partial_chunks, 1, "{name}");
+
+            // One packet past capacity waits in the backend's ring
+            // (backpressure) rather than being captured and dropped.
+            let over = b.build_packet(total, &flow(3), 128).unwrap();
+            backend.inject(over).expect("ring has room");
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(engine.telemetry(0).captured_packets, total, "{name}");
+            assert_eq!(backend.queue(0).depth(), 1, "{name}");
+
+            // The pool comes home and the waiting packet follows.
+            let full: Vec<LiveChunk> = std::iter::from_fn(|| c.try_chunk()).collect();
+            assert_eq!(full.len(), R - 1, "{name}");
+            assert!(full.iter().all(|chunk| chunk.len() == M), "{name}");
+            c.recycle(held);
+            full.into_iter().for_each(|chunk| c.recycle(chunk));
+            let last = await_chunk(&mut c, "backpressured packet delivered");
+            assert_eq!(last.len(), 1, "{name}");
+            c.recycle(last);
+
+            backend.stop().expect("stop backend");
+            assert!(c.next_chunk().is_none(), "{name}");
+            drop(c);
+            let t = engine.telemetry(0);
+            engine.shutdown();
+            assert_eq!(t.delivered_packets, total + 1, "{name}");
+            assert_eq!(t.capture_drop_packets + t.nic_drop_packets, 0, "{name}");
             assert_eq!(t.recycled_chunks, t.sealed_chunks, "{name}");
         }
     }
