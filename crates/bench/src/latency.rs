@@ -73,7 +73,7 @@ pub struct LatencyPoint {
     /// Capture-to-delivery latency 99th percentile, ns.
     pub p99_ns: u64,
     /// Capture-to-delivery latency 99.9th percentile, ns — the SLO
-    /// number `scripts/check.sh` gates across tuning modes.
+    /// number `fig_latency` gates across tuning modes.
     pub p999_ns: u64,
     /// Largest latency sample observed, ns.
     pub max_ns: u64,

@@ -14,8 +14,26 @@
 //! | `fig13` | Fig. 13 — packet forwarding |
 //! | `fig14` | Fig. 14 — two-NIC scalability under bus saturation |
 //! | `tab2`  | Table 2 — qualitative engine comparison |
-//! | `fig_scaling` | beyond the paper — pooled vs. per-queue delivery scaling (DESIGN.md §4.11) |
 //! | `fig_all` | everything above, writing `results/` |
+//!
+//! Beyond the paper (live engine on real threads unless noted):
+//!
+//! | binary  | measures |
+//! |---------|----------|
+//! | `fig_scaling` | pooled vs. per-queue delivery scaling, single-hot-queue claim mode (DESIGN.md §4.11–4.12); gates `pool_speedup` and `hotq_speedup` ≥ 1.5 |
+//! | `fig_latency` | capture-to-delivery tail latency, pool size × load × tuning (DESIGN.md §4.16); gates cache-resident p99.9 ≤ throughput p99.9 |
+//! | `fig_flows` | online flow analytics: throughput and top-K accuracy vs. flow count (DESIGN.md §4.15) |
+//! | `fig_capture_save` | capture-and-save to rotated pcapng under a throttled disk (DESIGN.md §4.10) |
+//! | `ablations` | simulator: one WireCAP mechanism switched off at a time |
+//! | `study_40gbe` | simulator: the 40/100 GbE projection of the paper's §7 |
+//! | `study_dpdk` | simulator: WireCAP vs. DPDK with and without application-layer offload (§6, §7) |
+//! | `study_latency` | simulator: delivery latency vs. chunk size M and timeout (§5c) |
+//! | `study_timestamps` | simulator: timestamp accuracy vs. overhead (§5c) |
+//! | `replay_pcap` | replays a pcap savefile through every engine |
+//!
+//! The two gating binaries exit non-zero through [`gate`] after writing
+//! their outputs. The engine's own end-to-end and per-layer numbers are
+//! `wcbench`'s (`benchmark/`, `BENCHMARK.json`), not this crate's.
 //!
 //! Every binary prints the same rows/series the paper reports and writes
 //! machine-readable JSON plus a plain-text table under `results/`. Runs
@@ -139,6 +157,20 @@ pub fn write_table(out: &Path, name: &str, title: &str, header: &[&str], rows: &
     eprintln!("wrote {}", path.display());
 }
 
+/// A gate on a number a figure binary has just measured: `Ok` when
+/// `value` is at least `min`, otherwise (including `NaN`) an `Err`
+/// naming the quantity and both numbers, which the binary returns from
+/// `main` after writing its outputs — a non-zero exit.
+pub fn gate(name: &str, value: f64, min: f64) -> Result<(), String> {
+    if value >= min {
+        Ok(())
+    } else {
+        Err(format!(
+            "gate failed: {name} = {value:.3}, required >= {min:.3}"
+        ))
+    }
+}
+
 /// Formats a fraction as the paper prints drop rates (`46.5%`).
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -170,6 +202,22 @@ mod tests {
         assert_eq!(pct(0.465), "46.5%");
         assert_eq!(pct(0.0), "0.0%");
         assert_eq!(pct(1.0), "100.0%");
+    }
+
+    #[test]
+    fn gate_passes_at_or_above_the_bound_and_fails_below_it() {
+        assert_eq!(gate("pool_speedup", 1.91, 1.5), Ok(()));
+        assert_eq!(gate("pool_speedup", 1.5, 1.5), Ok(()));
+        assert!(gate("pool_speedup", 1.49, 1.5).is_err());
+        assert!(gate("pool_speedup", f64::NAN, 1.5).is_err());
+    }
+
+    #[test]
+    fn gate_failure_names_the_quantity_and_both_numbers() {
+        let msg = gate("hotq_speedup", 1.234, 1.5).unwrap_err();
+        assert!(msg.contains("hotq_speedup"), "{msg}");
+        assert!(msg.contains("1.234"), "{msg}");
+        assert!(msg.contains("1.500"), "{msg}");
     }
 
     #[test]

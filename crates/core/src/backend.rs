@@ -24,9 +24,9 @@
 //!
 //! Dispatch is `Arc<dyn CaptureBackend>`: the engine makes two virtual
 //! calls per poll batch (≤ 256 packets) plus one indirect call per
-//! frame through the sink — measured against the monomorphized direct
-//! path by the `backend_dispatch` entry in `BENCH_hotpath.json` and
-//! gated ≤ 2% by `scripts/check.sh`.
+//! frame through the sink. `wcbench` times that `dyn` poll as it runs in
+//! the engine: the `wire.poll_ns_per_pkt` and `nicsim.poll_ns_per_pkt`
+//! rows of `BENCHMARK.json`.
 //!
 //! Error handling replaces the old mix of `Option`, panics, and silent
 //! drops: poll/recycle/stop return [`BackendError`]s, and the engine
@@ -313,13 +313,6 @@ impl NicSimBackend {
     pub fn nic(&self) -> &Arc<LiveNic> {
         &self.nic
     }
-
-    /// Concrete (statically dispatched) handle to queue `q`, for
-    /// callers that must avoid the vtable — the `backend_dispatch`
-    /// benchmark prices the `dyn` path against this one.
-    pub fn mono_queue(&self, q: usize) -> Arc<NicSimQueue> {
-        Arc::clone(&self.queues[q])
-    }
 }
 
 impl CaptureBackend for NicSimBackend {
@@ -361,14 +354,12 @@ pub struct NicSimQueue {
     queue: Arc<LiveQueue>,
 }
 
-impl NicSimQueue {
-    /// The monomorphized poll path: identical logic to the trait's
-    /// `poll_batch`, statically dispatched with an inlined sink. The
-    /// trait impl delegates here; the `backend_dispatch` benchmark
-    /// measures this path against the `dyn` one to price the
-    /// indirection honestly.
-    #[inline]
-    pub fn poll_batch_mono<F: FnMut(RxFrame<'_>)>(&self, max: usize, mut sink: F) -> usize {
+impl BackendQueue for NicSimQueue {
+    fn poll_batch(
+        &self,
+        max: usize,
+        sink: &mut dyn FnMut(RxFrame<'_>),
+    ) -> Result<usize, BackendError> {
         let mut n = 0;
         while n < max {
             match self.queue.pop() {
@@ -383,17 +374,7 @@ impl NicSimQueue {
                 None => break,
             }
         }
-        n
-    }
-}
-
-impl BackendQueue for NicSimQueue {
-    fn poll_batch(
-        &self,
-        max: usize,
-        sink: &mut dyn FnMut(RxFrame<'_>),
-    ) -> Result<usize, BackendError> {
-        Ok(self.poll_batch_mono(max, sink))
+        Ok(n)
     }
 
     fn recycle(&self, _frames: usize) -> Result<(), BackendError> {

@@ -7,9 +7,9 @@
 //!
 //! Cost model: one `Instant::now()` (a `clock_gettime(CLOCK_MONOTONIC)`
 //! vDSO call on Linux, ~20 ns) per invocation. The live engine pays it
-//! once per *chunk* seal — amortized over M packets — never per packet;
-//! the `latency_stamping` entry of `BENCH_hotpath.json` keeps that
-//! claim measured.
+//! once per *chunk* seal — amortized over M packets — never per packet.
+//! Every packet of the benchmark's `wire64` workload (`BENCHMARK.json`)
+//! is delivered with these stamps taken.
 
 use std::sync::OnceLock;
 use std::time::Instant;

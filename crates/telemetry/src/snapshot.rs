@@ -4,7 +4,7 @@
 //! Every engine — the live threaded `LiveWireCap`, the simulation
 //! `WireCapEngine`, and the baseline models — returns this exact type
 //! from `CaptureEngine::telemetry(q)`, so figure binaries, the apps
-//! harness and the hotpath bench all emit one schema.
+//! harness and the benchmark (`wcbench`) all read one schema.
 
 use crate::hist::{bucket_upper_edge, HistogramSnapshot};
 use crate::spans::WorkerTelemetry;

@@ -30,9 +30,9 @@
 //! Cost contract: an unsampled chunk pays exactly one branch at seal.
 //! A sampled chunk pays a handful of `u64` stores at boundaries it was
 //! already crossing plus one short ring lock at completion — once per
-//! *chunk*, never per packet. The `span_tracing` entry of
-//! `BENCH_hotpath.json` keeps the whole feature ≤ 3% in
-//! `scripts/check.sh`.
+//! *chunk*, never per packet. The benchmark's `trace.overhead_frac`
+//! (`BENCHMARK.json`) measures the whole feature on the real engine with
+//! every chunk sampled.
 //!
 //! The worker time-state profiler ([`WorkerState`]) is the dual view:
 //! instead of following a chunk through stages, it follows a pool
