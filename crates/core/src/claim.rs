@@ -21,7 +21,7 @@
 //!   lap. Losing the CAS race is reported explicitly as
 //!   [`Claim::Contended`] so callers can feed claim-contention
 //!   telemetry and the [`AdaptivePoller`](crate::AdaptivePoller)'s
-//!   cheap lost-race reset instead of re-spinning blind.
+//!   lost-race yield instead of retrying blind.
 //! * [`ReorderBuffer`] — the optional in-order stage. Chunks are
 //!   sequence-stamped at seal time by their home capture thread;
 //!   claimed chunks are inserted by `seq` and a CAS-acquired delivery

@@ -135,10 +135,8 @@ pub struct WireCapConfig {
     /// of the core affinity", §5b). 1.0 = no penalty.
     pub offload_penalty: f64,
     /// Adaptive polling (live engine): idle rounds a capture or pool
-    /// worker thread busy-spins before it starts yielding.
-    pub spin_iters: u32,
-    /// Adaptive polling: idle rounds spent yielding (after the spin
-    /// stage) before the thread parks on a wakeup gate.
+    /// worker thread spends yielding its core before it parks on a
+    /// wakeup gate. There is no busy-spin stage (DESIGN.md §4.11).
     pub yield_iters: u32,
     /// Adaptive polling: upper bound on one parked wait, in
     /// nanoseconds. Parks are always timeout-bounded so a missed
@@ -196,10 +194,9 @@ impl WireCapConfig {
             // that packets never linger in the ring at quiet queues.
             capture_timeout_ns: 10_000_000,
             offload_penalty: 0.97,
-            // Adaptive-polling ladder: ~a short burst of spins for
-            // lowest wakeup latency, a few yields to let co-scheduled
-            // threads run, then 1 ms bounded parks.
-            spin_iters: 256,
+            // Adaptive-polling ladder: a few yields, which hand the core
+            // to co-scheduled threads yet return at once on an idle
+            // core, then 1 ms bounded parks.
             yield_iters: 64,
             park_timeout_ns: 1_000_000,
             pin_threads: false,
@@ -515,14 +512,8 @@ impl WireCapConfigBuilder {
         self
     }
 
-    /// Idle rounds of busy-spinning before the adaptive poller starts
-    /// yielding (live capture + pool worker threads).
-    pub fn spin_iters(mut self, iters: u32) -> Self {
-        self.cfg.spin_iters = iters;
-        self
-    }
-
-    /// Idle rounds of yielding before the adaptive poller parks.
+    /// Idle rounds of yielding before the adaptive poller parks (live
+    /// capture + pool worker threads).
     pub fn yield_iters(mut self, iters: u32) -> Self {
         self.cfg.yield_iters = iters;
         self
@@ -711,7 +702,6 @@ mod tests {
         assert_eq!(b.r, basic.r);
         assert_eq!(b.ring_size, basic.ring_size);
         assert_eq!(b.capture_timeout_ns, basic.capture_timeout_ns);
-        assert_eq!(b.spin_iters, basic.spin_iters);
         assert_eq!(b.yield_iters, basic.yield_iters);
         assert_eq!(b.park_timeout_ns, basic.park_timeout_ns);
         assert_eq!(b.pin_threads, basic.pin_threads);
@@ -721,13 +711,11 @@ mod tests {
     #[test]
     fn builder_sets_polling_and_pinning() {
         let cfg = WireCapConfig::builder()
-            .spin_iters(10)
             .yield_iters(5)
             .park_timeout_ns(500_000)
             .pin_threads(true)
             .build()
             .unwrap();
-        assert_eq!(cfg.spin_iters, 10);
         assert_eq!(cfg.yield_iters, 5);
         assert_eq!(cfg.park_timeout_ns, 500_000);
         assert!(cfg.pin_threads);

@@ -808,7 +808,9 @@ fn capture_thread(
             if !shared.recycle[q].is_empty() {
                 continue;
             }
-            // Adaptive idling: spin → yield → bounded park. NIC
+            // Adaptive idling: yield → bounded park. The first empty
+            // round already hands the core over: a pool worker or
+            // consumer may be pinned beside this thread. NIC
             // arrivals cannot notify the gate, so parks are bounded by
             // the park timeout — and, while a non-empty partial chunk
             // is held, by its remaining capture-timeout budget

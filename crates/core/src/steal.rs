@@ -18,10 +18,11 @@
 //!   workers when its own queues go quiet — rebalancing at the
 //!   sealed-chunk handoff, **before** the capture queue ever climbs
 //!   toward T;
-//! * an [`AdaptivePoller`] (spin → `yield_now` → parked-with-wakeup on
-//!   a [`WakeupGate`]) so idle capture and worker threads stop burning
-//!   the cycles busy threads need — on oversubscribed hosts this, not
-//!   parallelism, is where the scaling headroom lives;
+//! * an [`AdaptivePoller`] (`yield_now` → parked-with-wakeup on a
+//!   [`WakeupGate`], no busy-spin stage) so idle capture and worker
+//!   threads hand their core to the threads that have work — on
+//!   oversubscribed hosts this, not parallelism, is where the scaling
+//!   headroom lives;
 //! * optional core pinning ([`pin_to_core`]) behind a shim, so builds
 //!   without `sched_setaffinity` still compile and run.
 //!
@@ -37,8 +38,8 @@
 //! [`ClaimQueue`]s (COREC-style concurrent single-queue consumption,
 //! DESIGN.md §4.12), so even one scorching queue is drained by all N
 //! workers at once. A lost claim CAS feeds the `claim_contention`
-//! counter and the poller's cheap [`AdaptivePoller::lost_race`] reset
-//! instead of restarting the full spin→yield→park ladder.
+//! counter and the poller's [`AdaptivePoller::lost_race`], which makes
+//! the next idle round a yield so contention alone never parks.
 
 use crate::arena::ChunkView;
 use crate::buddy::BuddyGroup;
@@ -373,64 +374,62 @@ impl WakeupGate {
 /// What one [`AdaptivePoller::idle`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdleStep {
-    /// Busy-spun (`spin_loop` hints) — the cheapest-latency stage.
-    Spun,
     /// Yielded the timeslice to other runnable threads.
     Yielded,
     /// Parked on the gate until notify or timeout.
     Parked,
 }
 
-/// The three-stage idle strategy for capture and pool-worker threads:
-/// spin for `spin_iters` idle rounds (lowest wakeup latency), yield for
-/// the next `yield_iters` rounds (lets co-scheduled threads run), then
-/// park on a [`WakeupGate`] with a bounded timeout (stops burning the
-/// CPU other threads need). Any sign of work resets to the spin stage.
+/// The two-stage idle strategy for capture and pool-worker threads:
+/// yield for the first `yield_iters` idle rounds (lets co-scheduled
+/// threads run), then park on a [`WakeupGate`] with a bounded timeout
+/// (stops burning the CPU other threads need). Any sign of work resets
+/// to the yield stage.
 ///
-/// Thresholds come from [`WireCapConfig`]: `spin_iters`, `yield_iters`,
+/// There is deliberately no busy-spin stage. A poller cannot tell who
+/// shares its core: a yield on an otherwise idle core costs one
+/// syscall, while a spin on a shared core costs the co-runner — a
+/// co-pinned pool worker, an application consumer — a scheduler slice.
+///
+/// Thresholds come from [`WireCapConfig`]: `yield_iters`,
 /// `park_timeout_ns`.
 #[derive(Debug)]
 pub struct AdaptivePoller {
-    spin_iters: u32,
     yield_iters: u32,
     park_timeout: Duration,
     idle_rounds: u32,
+    /// Set by [`lost_race`](Self::lost_race): the next idle round
+    /// yields whatever the budget.
+    contended: bool,
 }
 
 impl AdaptivePoller {
     /// A poller with explicit stage thresholds.
-    pub fn new(spin_iters: u32, yield_iters: u32, park_timeout_ns: u64) -> Self {
+    pub fn new(yield_iters: u32, park_timeout_ns: u64) -> Self {
         AdaptivePoller {
-            spin_iters,
             yield_iters,
             park_timeout: Duration::from_nanos(park_timeout_ns.max(1)),
             idle_rounds: 0,
+            contended: false,
         }
     }
 
     /// A poller using the thresholds in `cfg`.
     pub fn from_config(cfg: &WireCapConfig) -> Self {
-        Self::new(cfg.spin_iters, cfg.yield_iters, cfg.park_timeout_ns)
+        Self::new(cfg.yield_iters, cfg.park_timeout_ns)
     }
 
-    /// Work happened: fall back to the spin stage.
+    /// Work happened: fall back to the yield stage.
     pub fn reset(&mut self) {
         self.idle_rounds = 0;
     }
 
     /// A claim (or steal) CAS race was lost: work exists, a peer just
-    /// took it. Re-spinning from zero would burn the full spin budget
-    /// re-contending the same cache line, so jump straight to the
-    /// yield stage — and pin there: contention alone never escalates
-    /// to a park, only a truly empty stream may. With a zero yield
-    /// budget this instead holds one round short of the park stage.
+    /// took it. The next idle round yields — even past the yield
+    /// budget, even with a zero budget — because contention alone never
+    /// escalates to a park; only a truly empty stream may.
     pub fn lost_race(&mut self) {
-        let hi = self
-            .spin_iters
-            .saturating_add(self.yield_iters)
-            .saturating_sub(1);
-        let lo = self.spin_iters.min(hi);
-        self.idle_rounds = self.idle_rounds.clamp(lo, hi.max(lo));
+        self.contended = true;
     }
 
     /// One idle round with the park timeout capped at `max_park`
@@ -439,21 +438,19 @@ impl AdaptivePoller {
     /// deadline cannot be overslept). Take `ticket` from the gate
     /// *before* the final work check.
     pub fn idle_capped(&mut self, gate: &WakeupGate, ticket: u64, max_park: Duration) -> IdleStep {
-        let step = if self.idle_rounds < self.spin_iters {
-            std::hint::spin_loop();
-            IdleStep::Spun
-        } else if self.idle_rounds < self.spin_iters.saturating_add(self.yield_iters) {
+        let step = if self.contended || self.idle_rounds < self.yield_iters {
             std::thread::yield_now();
             IdleStep::Yielded
         } else {
             gate.park(ticket, self.park_timeout.min(max_park));
             IdleStep::Parked
         };
+        self.contended = false;
         self.idle_rounds = self.idle_rounds.saturating_add(1);
         step
     }
 
-    /// One idle round: spin, yield, or park according to how many idle
+    /// One idle round: yield or park according to how many idle
     /// rounds have passed since the last [`reset`](Self::reset).
     pub fn idle(&mut self, gate: &WakeupGate, ticket: u64) -> IdleStep {
         self.idle_capped(gate, ticket, Duration::MAX)
@@ -769,7 +766,6 @@ impl WorkerProfiler {
     /// Charges an idle step to its matching bucket.
     fn charge_idle(&mut self, step: IdleStep) {
         self.charge(match step {
-            IdleStep::Spun => WorkerTimeState::Spin,
             IdleStep::Yielded => WorkerTimeState::Yield,
             IdleStep::Parked => WorkerTimeState::Park,
         });
@@ -1195,8 +1191,8 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
         }
         if contended {
             // Lost the claim race only: work exists and a peer has it.
-            // Skip the spin budget (re-spinning re-contends the same
-            // cursor line) but never park from contention alone.
+            // Yield rather than re-contend the same cursor line, but
+            // never park from contention alone.
             poller.lost_race();
             let ticket = ctx.shared.delivery_gate.ticket();
             let step = poller.idle(&ctx.shared.delivery_gate, ticket);
@@ -1433,34 +1429,25 @@ mod tests {
     }
 
     #[test]
-    fn poller_escalates_spin_yield_park() {
+    fn poller_escalates_yield_park() {
         let gate = WakeupGate::new();
-        let mut p = AdaptivePoller::new(2, 2, 1_000_000);
-        let steps: Vec<_> = (0..5).map(|_| p.idle(&gate, gate.ticket())).collect();
+        let mut p = AdaptivePoller::new(2, 1_000_000);
+        let steps: Vec<_> = (0..3).map(|_| p.idle(&gate, gate.ticket())).collect();
         assert_eq!(
             steps,
-            vec![
-                IdleStep::Spun,
-                IdleStep::Spun,
-                IdleStep::Yielded,
-                IdleStep::Yielded,
-                IdleStep::Parked
-            ]
+            vec![IdleStep::Yielded, IdleStep::Yielded, IdleStep::Parked]
         );
         p.reset();
-        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Spun);
+        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Yielded);
     }
 
     #[test]
-    fn lost_race_skips_spin_but_never_parks() {
+    fn lost_race_yields_but_never_parks() {
         let gate = WakeupGate::new();
-        let mut p = AdaptivePoller::new(4, 2, 1_000_000);
-        // From a fresh reset a lost race jumps straight past the spin
-        // budget into the yield stage.
-        p.lost_race();
-        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Yielded);
-        // Repeated lost races hold the poller at the yield stage:
-        // contention alone must never escalate to a park.
+        let mut p = AdaptivePoller::new(2, 1_000_000);
+        // Repeated lost races hold the poller at the yield stage, well
+        // past the yield budget: contention alone must never escalate
+        // to a park.
         for _ in 0..10 {
             p.lost_race();
             assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Yielded);
@@ -1473,21 +1460,27 @@ mod tests {
         }
         p.lost_race();
         assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Yielded);
-        // Real progress still resets to the spin stage.
+        // Only that one round: an empty stream parks again.
+        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Parked);
+        // Real progress resets to the yield stage.
         p.reset();
-        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Spun);
+        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Yielded);
     }
 
     #[test]
-    fn lost_race_with_zero_yield_budget_stays_short_of_park() {
+    fn lost_race_with_zero_yield_budget_never_parks() {
         let gate = WakeupGate::new();
-        let mut p = AdaptivePoller::new(2, 0, 1_000_000);
-        // No yield stage to land in: hold one round short of the park
-        // threshold so a contended worker still never parks.
-        p.lost_race();
-        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Spun);
-        p.lost_race();
-        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Spun);
+        let mut p = AdaptivePoller::new(0, 1_000_000);
+        // No yield stage at all: an empty round parks straight away...
+        assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Parked);
+        // ...but a lost race still yields, from a fresh reset or from
+        // the park stage, so a contended worker never sleeps while a
+        // peer holds the work.
+        p.reset();
+        for _ in 0..3 {
+            p.lost_race();
+            assert_eq!(p.idle(&gate, gate.ticket()), IdleStep::Yielded);
+        }
     }
 
     #[test]

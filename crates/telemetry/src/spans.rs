@@ -37,9 +37,11 @@
 //! The worker time-state profiler ([`WorkerState`]) is the dual view:
 //! instead of following a chunk through stages, it follows a pool
 //! worker through the adaptive-polling ladder, accounting wall time
-//! into spin / yield / park / claim / deliver / steal buckets. Workers
-//! register with the [`crate::Registry`] at pool start and account
-//! transitions single-writer; snapshots read the buckets relaxed.
+//! into yield / park / claim / deliver / steal buckets (plus a `spin`
+//! bucket that the snapshot schema keeps and the ladder never fills).
+//! Workers register with the [`crate::Registry`] at pool start and
+//! account transitions single-writer; snapshots read the buckets
+//! relaxed.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,14 +238,15 @@ impl Default for SpanRing {
     }
 }
 
-/// The wall-time buckets a pool worker's life divides into. Spin,
-/// yield and park are the three rungs of the adaptive-polling ladder;
-/// claim, deliver and steal are the working states.
+/// The wall-time buckets a pool worker's life divides into. Yield and
+/// park are the two rungs of the adaptive-polling ladder; claim,
+/// deliver and steal are the working states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerTimeState {
-    /// Busy-spinning on the first ladder rung.
+    /// Busy-spinning. The live engine's ladder has no spin rung, so
+    /// it never charges this bucket (see [`WorkerTelemetry::spin_ns`]).
     Spin,
-    /// Yielding the core on the middle rung.
+    /// Yielding the core on the first rung.
     Yield,
     /// Parked on the wakeup gate.
     Park,
@@ -313,7 +316,9 @@ impl WorkerState {
 pub struct WorkerTelemetry {
     /// Pool worker index.
     pub worker: u32,
-    /// Wall time busy-spinning, ns.
+    /// Wall time busy-spinning, ns. The live engine does not busy-spin
+    /// when idle, so its workers leave this at 0; the field is kept
+    /// because the snapshot schema is frozen.
     pub spin_ns: u64,
     /// Wall time yielding, ns.
     pub yield_ns: u64,

@@ -15,7 +15,7 @@
 //! with a blocking per-chunk stage (standing in for a batch `write(2)`
 //! or a downstream RPC) so the serialization is visible in wall-clock
 //! time. It also shows the adaptive-polling knobs on
-//! [`wirecap::WireCapConfig::builder`]: the spin → yield → park ladder
+//! [`wirecap::WireCapConfig::builder`]: the yield → park ladder
 //! and optional core pinning.
 //!
 //! The pooled run additionally enables 1-in-16 span tracing
@@ -53,10 +53,8 @@ fn config() -> WireCapConfig {
         .cells(64)
         .chunks(32)
         .capture_timeout_ns(2_000_000)
-        // The adaptive-polling ladder: busy-spin briefly for the lowest
-        // wakeup latency, yield a while to let busy siblings run, then
-        // park on the wakeup gate in bounded slices.
-        .spin_iters(128)
+        // The adaptive-polling ladder: yield a while to let busy
+        // siblings run, then park on the wakeup gate in bounded slices.
         .yield_iters(32)
         .park_timeout_ns(500_000)
         // Set true to pin capture threads and pool workers to cores
@@ -181,10 +179,10 @@ fn pooled_run() -> (u64, u64, u64, f64) {
     // Where each worker's wall clock went (the time-state profiler).
     for w in &snap.workers {
         let busy = w.claim_ns + w.deliver_ns + w.steal_ns;
-        let idle = w.spin_ns + w.yield_ns + w.park_ns;
+        let idle = w.yield_ns + w.park_ns;
         println!(
             "  worker {} time: {:>4} ms delivering/claiming/stealing, \
-             {:>4} ms spinning/yielding/parked",
+             {:>4} ms yielding/parked",
             w.worker,
             busy / 1_000_000,
             idle / 1_000_000

@@ -1,10 +1,11 @@
-//! Docs that point at benchmark rows must not rot silently.
+//! Docs that point at benchmark rows or knobs must not rot silently.
 //!
 //! The retired mirror bench's numbers now live in `BENCHMARK.json` rows
 //! and figure binaries, and the documentation cites those by name. Two
 //! checks keep that vocabulary honest: no current source or document
-//! still mentions the retired bench or its artifact, and every name the
-//! EXPERIMENTS.md disposition table sends a reader to exists.
+//! still mentions a retired name (the bench, its artifact, the poller's
+//! deleted spin stage and its knob), and every name the EXPERIMENTS.md
+//! disposition table sends a reader to exists.
 
 use serde::Value;
 use std::collections::BTreeSet;
@@ -49,10 +50,17 @@ fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 #[test]
-fn nothing_current_cites_the_retired_bench() {
+fn nothing_current_cites_a_retired_name() {
     // Assembled so this file does not cite them either. CHANGES.md and
     // ROADMAP.md are history; ISSUE.md is the task in flight.
-    let needles = [concat!("BENCH_", "hotpath"), concat!("--bench ", "hotpath")];
+    let needles = [
+        // The mirror bench and its artifact.
+        concat!("BENCH_", "hotpath"),
+        concat!("--bench ", "hotpath"),
+        // The adaptive poller's deleted busy-spin stage and its knob.
+        concat!("spin_", "iters"),
+        concat!("IdleStep::", "Spun"),
+    ];
     let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].map(|f| repo().join(f));
 
     let mut files = Vec::new();
@@ -67,10 +75,7 @@ fn nothing_current_cites_the_retired_bench() {
         })
         .map(|p| p.display().to_string())
         .collect();
-    assert!(
-        stale.is_empty(),
-        "still citing the retired bench: {stale:?}"
-    );
+    assert!(stale.is_empty(), "still citing a retired name: {stale:?}");
 }
 
 /// The `name` of every object in `doc[section]`.

@@ -160,7 +160,6 @@ fn worker_parks_accrue_to_every_serviced_queue() {
         .cells(32)
         .chunks(64)
         .capture_timeout_ns(500_000)
-        .spin_iters(4)
         .yield_iters(2)
         .park_timeout_ns(200_000)
         .span_sample_n(8)
