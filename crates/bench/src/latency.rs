@@ -1,14 +1,11 @@
-//! Capture-to-delivery tail latency under pool tuning modes
+//! Capture-to-delivery tail latency against pool size R
 //! (`fig_latency`, DESIGN.md §4.16).
 //!
-//! The experiment behind the cache-resident fast path: a large ring
-//! buffer pool is great for loss tolerance but terrible for tail
-//! latency — when the consumer lags, up to R chunks queue behind it,
-//! and every queued chunk adds a full service time to the chunks
-//! sealed after it (classic bufferbloat, in chunk units). The
-//! `CacheResident` tuning mode shrinks the pool to an LLC budget and
-//! bounds the consumer's backlog at the derived recycle depth, so the
-//! worst-case queueing delay is structural, not R-sized.
+//! A large ring buffer pool is great for loss tolerance but costs tail
+//! latency: when the consumer lags, up to R chunks queue behind it, and
+//! every queued chunk adds a full service time to the chunks sealed
+//! after it (bufferbloat, in chunk units). The pool workers serve their
+//! backlog oldest-first, so the worst-case queueing delay is R's alone.
 //!
 //! Each data point runs the live engine over the nicsim backend at a
 //! fixed offered load (or saturating when `offered_pps == 0`), drains
@@ -28,7 +25,6 @@ use std::sync::Arc;
 use std::time::Instant;
 use telemetry::HistogramSnapshot;
 use wirecap::buddy::BuddyGroups;
-use wirecap::config::TuningMode;
 use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::WireCapConfig;
@@ -45,18 +41,8 @@ pub const CHUNK_IO_US: u64 = 20;
 /// One measured configuration of the latency sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct LatencyPoint {
-    /// `"throughput"` or `"cache_resident"`.
-    pub mode: &'static str,
-    /// LLC budget handed to `CacheResident` (0 for `Throughput`).
-    pub llc_bytes: u64,
-    /// Configured pool chunks R (before the tuning derivation).
+    /// Pool chunks R.
     pub pool_chunks: usize,
-    /// Effective pool chunks after the derivation.
-    pub r_effective: usize,
-    /// Fast-recycle depth bound (0 = unbounded lazy recycle).
-    pub recycle_depth: usize,
-    /// Derived per-queue hot working set, bytes.
-    pub working_set_bytes: u64,
     /// Paced injection rate, packets/s (0 = saturating).
     pub offered_pps: u64,
     /// Packets offered (and, conservation-checked, accounted).
@@ -73,10 +59,18 @@ pub struct LatencyPoint {
     /// Capture-to-delivery latency 99th percentile, ns.
     pub p99_ns: u64,
     /// Capture-to-delivery latency 99.9th percentile, ns — the SLO
-    /// number `fig_latency` gates across tuning modes.
+    /// number `fig_latency` gates across pool sizes.
     pub p999_ns: u64,
     /// Largest latency sample observed, ns.
     pub max_ns: u64,
+    /// Packets the engine dropped at capture (`capture_drop_packets`).
+    pub capture_drops: u64,
+    /// Captured packets that never reached the handler
+    /// (`delivery_drop_packets`).
+    pub delivery_drops: u64,
+    /// Injections the full NIC ring refused (`nic_drop_packets`). The
+    /// injector retries each one, so these are backpressure, not loss.
+    pub nic_refusals: u64,
 }
 
 /// Single-flow traffic: everything lands on queue 0, so one consumer's
@@ -94,14 +88,12 @@ fn traffic(n: u64) -> Vec<Packet> {
         .collect()
 }
 
-/// Runs one latency point: `r` configured pool chunks under `tuning`,
-/// injection paced at `offered_pps` (0 = as fast as the NIC accepts),
-/// one queue, one pool worker with the blocking per-chunk stage.
-pub fn latency_point(tuning: TuningMode, r: usize, offered_pps: u64, packets: u64) -> LatencyPoint {
+/// Runs one latency point: `r` pool chunks, injection paced at
+/// `offered_pps` (0 = as fast as the NIC accepts), one queue, one pool
+/// worker with the blocking per-chunk stage.
+pub fn latency_point(r: usize, offered_pps: u64, packets: u64) -> LatencyPoint {
     let mut cfg = WireCapConfig::basic(M, r, 0);
     cfg.capture_timeout_ns = 2_000_000;
-    cfg.tuning = tuning;
-    let plan = cfg.tuning_plan(1);
 
     let traffic = traffic(packets);
     let nic = LiveNic::new(1, 4096);
@@ -168,17 +160,9 @@ pub fn latency_point(tuning: TuningMode, r: usize, offered_pps: u64, packets: u6
     for q in &snap.queues {
         latency.merge(&q.latency_ns);
     }
-    let (mode, llc_bytes) = match tuning {
-        TuningMode::Throughput => ("throughput", 0),
-        TuningMode::CacheResident { llc_bytes } => ("cache_resident", llc_bytes),
-    };
+    let total = snap.total();
     LatencyPoint {
-        mode,
-        llc_bytes,
         pool_chunks: r,
-        r_effective: plan.r,
-        recycle_depth: plan.recycle_depth,
-        working_set_bytes: plan.working_set_bytes,
         offered_pps,
         packets,
         elapsed_s: elapsed,
@@ -188,6 +172,9 @@ pub fn latency_point(tuning: TuningMode, r: usize, offered_pps: u64, packets: u6
         p99_ns: latency.quantile(0.99),
         p999_ns: latency.quantile(0.999),
         max_ns: latency.max,
+        capture_drops: total.capture_drop_packets,
+        delivery_drops: total.delivery_drop_packets,
+        nic_refusals: total.nic_drop_packets,
     }
 }
 
@@ -196,24 +183,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_modes_conserve_and_report_quantiles() {
-        let t = latency_point(TuningMode::Throughput, 64, 0, 30_000);
+    fn point_conserves_and_reports_quantiles() {
+        let t = latency_point(64, 0, 30_000);
         assert_eq!(t.packets, 30_000);
         assert!(t.samples > 0);
         assert!(t.p50_ns <= t.p99_ns && t.p99_ns <= t.p999_ns);
         assert!(t.p999_ns <= t.max_ns);
-        assert_eq!(t.recycle_depth, 0);
-
-        let c = latency_point(
-            TuningMode::CacheResident { llc_bytes: 4 << 20 },
-            64,
-            0,
-            30_000,
-        );
-        assert_eq!(c.mode, "cache_resident");
-        assert!(c.r_effective <= 64);
-        assert!(c.recycle_depth >= 1);
-        assert!(c.p50_ns <= c.p99_ns && c.p99_ns <= c.p999_ns);
+        assert_eq!((t.capture_drops, t.delivery_drops), (0, 0));
     }
 
     #[test]
@@ -221,7 +197,7 @@ mod tests {
         // 500 kp/s for 25k packets ≈ 50 ms floor; saturating would
         // finish much faster. The ceiling check is loose (scheduling),
         // the floor is the point.
-        let p = latency_point(TuningMode::Throughput, 64, 500_000, 25_000);
+        let p = latency_point(64, 500_000, 25_000);
         assert!(
             p.elapsed_s >= 0.045,
             "paced run finished implausibly fast: {}s",

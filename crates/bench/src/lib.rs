@@ -21,7 +21,7 @@
 //! | binary  | measures |
 //! |---------|----------|
 //! | `fig_scaling` | pooled vs. per-queue delivery scaling, single-hot-queue claim mode (DESIGN.md §4.11–4.12); gates `pool_speedup` and `hotq_speedup` ≥ 1.5 |
-//! | `fig_latency` | capture-to-delivery tail latency, pool size × load × tuning (DESIGN.md §4.16); gates cache-resident p99.9 ≤ throughput p99.9 |
+//! | `fig_latency` | capture-to-delivery tail latency, pool size × load (DESIGN.md §4.16); gates saturated p99.9 at the largest pool ≥ at the smallest |
 //! | `fig_flows` | online flow analytics: throughput and top-K accuracy vs. flow count (DESIGN.md §4.15) |
 //! | `fig_capture_save` | capture-and-save to rotated pcapng under a throttled disk (DESIGN.md §4.10) |
 //! | `ablations` | simulator: one WireCAP mechanism switched off at a time |

@@ -8,106 +8,6 @@ use std::fmt;
 /// (§5a). One cell holds one packet.
 pub const CELL_BYTES: usize = 2048;
 
-/// Estimated hot bytes per pool chunk *beyond* its arena cells: the
-/// SPSC ring slot the sealed chunk is published through (~64 B with
-/// padding) plus its recycle-queue slot (~16 B). Concurrent claiming
-/// adds a cache-padded ticket word per slot; in-order delivery adds a
-/// reorder-buffer slot. Used by the [`TuningMode::CacheResident`]
-/// sizing pass (DESIGN.md §4.16).
-const CHUNK_RING_SLOT_BYTES: usize = 64;
-const CHUNK_RECYCLE_SLOT_BYTES: usize = 16;
-const CHUNK_CLAIM_SLOT_BYTES: usize = 128;
-const CHUNK_REORDER_SLOT_BYTES: usize = 64;
-
-/// How the engine sizes its per-queue pool and recycle cadence
-/// (DESIGN.md §4.16).
-///
-/// The paper's design treats R purely as loss tolerance: more chunks
-/// absorb longer consumer stalls (§3.2.2a). But per "From RDMA to
-/// RDCA" (PAPERS.md), at high rates the capture hot path is a
-/// *cache-working-set* problem — once the in-flight pool outgrows the
-/// LLC, every seal, delivery and recycle round-trips to DRAM and tail
-/// latency explodes. `CacheResident` trades loss tolerance for
-/// residency: it shrinks R (and, when necessary, the chunk size M) so
-/// the hot working set fits an LLC budget, and bounds the
-/// sealed-but-unrecycled backlog per queue so cells return to the NIC
-/// while still cache-warm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuningMode {
-    /// Size for loss tolerance (the paper's default): keep M and R as
-    /// configured and recycle lazily, at the consumer's own cadence.
-    Throughput,
-    /// Size the hot working set to fit a last-level-cache budget:
-    /// derive R (and M) from `llc_bytes`, and recycle eagerly at the
-    /// derived depth bound instead of lazily at refill.
-    CacheResident {
-        /// Target LLC budget in bytes for the whole engine (split
-        /// evenly across queues by the sizing pass).
-        llc_bytes: u64,
-    },
-}
-
-/// The resolved output of the tuning sizing pass: the effective pool
-/// geometry an engine actually runs with, plus the working-set
-/// estimate it was derived from. Logged into the engine snapshot
-/// (`tuning` block) so a capture's cache budget is auditable after the
-/// fact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuningPlan {
-    /// The mode the plan was derived for.
-    pub mode: TuningMode,
-    /// Queue count the budget was split across.
-    pub queues: usize,
-    /// Effective cells per chunk (≤ configured M; only
-    /// `CacheResident` ever shrinks it, halving while the chunk alone
-    /// would crowd out the per-queue budget).
-    pub m: usize,
-    /// Effective pool chunks per queue (≤ configured R, ≥ N/M + 1).
-    pub r: usize,
-    /// Max sealed-but-unrecycled chunks per queue before consumers
-    /// prioritize recycling over claiming new work. 0 = unbounded
-    /// (`Throughput` mode's lazy recycle).
-    pub recycle_depth: usize,
-    /// Estimated per-queue hot working set at (`m`, `r`): arena
-    /// cells plus ring, recycle, claim-ticket and reorder slots where
-    /// configured.
-    pub working_set_bytes: u64,
-}
-
-impl TuningPlan {
-    /// Hot bytes one chunk pins: its cells plus per-slot structures.
-    fn chunk_bytes(m: usize, concurrent: bool, in_order: bool) -> u64 {
-        let mut b = m * CELL_BYTES + CHUNK_RING_SLOT_BYTES + CHUNK_RECYCLE_SLOT_BYTES;
-        if concurrent {
-            b += CHUNK_CLAIM_SLOT_BYTES;
-        }
-        if in_order {
-            b += CHUNK_REORDER_SLOT_BYTES;
-        }
-        b as u64
-    }
-
-    /// Applies the plan to a configuration: the effective geometry the
-    /// engine should construct its pools with.
-    pub fn apply(&self, mut cfg: WireCapConfig) -> WireCapConfig {
-        cfg.m = self.m;
-        cfg.r = self.r;
-        cfg
-    }
-
-    /// True when the derived working set still exceeds the budget —
-    /// the structural floor (one spare chunk past the descriptor
-    /// segments) won: the LLC budget is smaller than the ring itself.
-    pub fn over_budget(&self) -> bool {
-        match self.mode {
-            TuningMode::Throughput => false,
-            TuningMode::CacheResident { llc_bytes } => {
-                self.working_set_bytes * self.queues as u64 > llc_bytes
-            }
-        }
-    }
-}
-
 /// Configuration of a WireCAP engine instance.
 ///
 /// The paper's naming convention: `WireCAP-B-(M, R)` is the basic mode
@@ -166,11 +66,6 @@ pub struct WireCapConfig {
     /// clock reads, no per-stage histograms, no worker time-state
     /// profiling. `1` traces every chunk.
     pub span_sample_n: u32,
-    /// Pool/working-set tuning mode (DESIGN.md §4.16): `Throughput`
-    /// keeps the configured geometry; `CacheResident` re-derives M, R
-    /// and a recycle-depth bound at engine start so the hot working
-    /// set fits an LLC budget.
-    pub tuning: TuningMode,
     /// Tail-latency SLO in nanoseconds: when set, the telemetry
     /// sampler's anomaly detector fires (and freezes a flight record)
     /// on sustained engine-wide p99.9 capture-to-delivery latency
@@ -203,7 +98,6 @@ impl WireCapConfig {
             concurrent_queue: false,
             in_order: false,
             span_sample_n: 0,
-            tuning: TuningMode::Throughput,
             latency_slo_ns: None,
             app: AppModel {
                 cpu: CpuModel::default(),
@@ -259,80 +153,7 @@ impl WireCapConfig {
         if self.in_order && !self.concurrent_queue {
             return Err(ConfigError::InOrderRequiresConcurrent);
         }
-        if let TuningMode::CacheResident { llc_bytes } = self.tuning {
-            if llc_bytes == 0 {
-                return Err(ConfigError::InvalidLlcBudget);
-            }
-        }
         Ok(())
-    }
-
-    /// Runs the tuning sizing pass for `queues` receive queues
-    /// (DESIGN.md §4.16), returning the effective pool geometry.
-    ///
-    /// `Throughput` is the identity: configured M and R, unbounded
-    /// (lazy) recycle. `CacheResident { llc_bytes }` splits the budget
-    /// evenly across queues and solves for the geometry whose hot
-    /// working set — arena cells plus the per-chunk slot structures —
-    /// fits it:
-    ///
-    /// 1. **M**: halved (it keeps dividing the ring size) while a
-    ///    single chunk would crowd out more than a quarter of the
-    ///    per-queue budget, so at least ~4 chunks can cycle inside the
-    ///    budget; never below 16 cells or the configured M.
-    /// 2. **R**: `budget / chunk_bytes`, clamped to the structural
-    ///    floor `N/M + 1` at the derived M (the pool must outnumber
-    ///    the descriptor segments) and capped at the configured R — a
-    ///    cache budget only ever shrinks the pool's memory. (When M
-    ///    was halved the chunk *count* floor can exceed the configured
-    ///    R, but the floor's memory, `N + M` cells, never exceeds the
-    ///    configured `R·M ≥ N + M`.)
-    /// 3. **Recycle depth**: a quarter of the spare (non-segment)
-    ///    chunks, at least 1 — consumers recycle eagerly at this bound
-    ///    so cells return to the NIC while still cache-warm, instead
-    ///    of lazily at the next refill.
-    pub fn tuning_plan(&self, queues: usize) -> TuningPlan {
-        let queues = queues.max(1);
-        match self.tuning {
-            TuningMode::Throughput => TuningPlan {
-                mode: self.tuning,
-                queues,
-                m: self.m,
-                r: self.r,
-                recycle_depth: 0,
-                working_set_bytes: TuningPlan::chunk_bytes(
-                    self.m,
-                    self.concurrent_queue,
-                    self.in_order,
-                ) * self.r as u64,
-            },
-            TuningMode::CacheResident { llc_bytes } => {
-                let budget = (llc_bytes / queues as u64).max(1);
-                let mut m = self.m;
-                while m > 16
-                    && m.is_multiple_of(2)
-                    && TuningPlan::chunk_bytes(m, self.concurrent_queue, self.in_order) > budget / 4
-                {
-                    m /= 2;
-                }
-                let chunk = TuningPlan::chunk_bytes(m, self.concurrent_queue, self.in_order);
-                let segments = self.ring_size / m;
-                let floor = segments + 1;
-                let r = usize::try_from(budget / chunk)
-                    .unwrap_or(usize::MAX)
-                    .clamp(floor, self.r.max(floor));
-                let spare = r - segments;
-                let recycle_depth = (spare / 4).max(1);
-                TuningPlan {
-                    mode: self.tuning,
-                    queues,
-                    m,
-                    r,
-                    recycle_depth,
-                    working_set_bytes: chunk * r as u64,
-                }
-            }
-        }
     }
 
     /// Number of descriptor segments (chunks attached at any instant).
@@ -408,8 +229,6 @@ pub enum ConfigError {
     /// In-order delivery re-serializes the concurrent claim stream, so
     /// it is meaningless without `concurrent_queue`.
     InOrderRequiresConcurrent,
-    /// A `CacheResident` LLC budget of zero bytes can fit no pool.
-    InvalidLlcBudget,
 }
 
 impl fmt::Display for ConfigError {
@@ -431,9 +250,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InOrderRequiresConcurrent => {
                 write!(f, "in_order delivery requires concurrent_queue")
-            }
-            ConfigError::InvalidLlcBudget => {
-                write!(f, "CacheResident llc_bytes must be non-zero")
             }
         }
     }
@@ -554,15 +370,6 @@ impl WireCapConfigBuilder {
     /// time-state profiler and the `/trace.json` Chrome-trace export.
     pub fn span_sample_n(mut self, n: u32) -> Self {
         self.cfg.span_sample_n = n;
-        self
-    }
-
-    /// Pool/working-set tuning mode: [`TuningMode::CacheResident`]
-    /// re-derives M, R and the recycle-depth bound at engine start so
-    /// the hot working set fits the given LLC budget (DESIGN.md
-    /// §4.16). Defaults to [`TuningMode::Throughput`].
-    pub fn tuning(mut self, mode: TuningMode) -> Self {
-        self.cfg.tuning = mode;
         self
     }
 
@@ -709,17 +516,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_polling_and_pinning() {
+    fn builder_sets_polling_pinning_and_slo() {
         let cfg = WireCapConfig::builder()
             .yield_iters(5)
             .park_timeout_ns(500_000)
             .pin_threads(true)
+            .latency_slo_ns(2_000_000)
             .build()
             .unwrap();
         assert_eq!(cfg.yield_iters, 5);
         assert_eq!(cfg.park_timeout_ns, 500_000);
         assert!(cfg.pin_threads);
-        assert!(!WireCapConfig::basic(64, 32, 0).pin_threads);
+        assert_eq!(cfg.latency_slo_ns, Some(2_000_000));
+        let basic = WireCapConfig::basic(64, 32, 0);
+        assert!(!basic.pin_threads);
+        assert_eq!(basic.latency_slo_ns, None);
     }
 
     #[test]
@@ -747,116 +558,6 @@ mod tests {
             WireCapConfig::builder().in_order(true).build().unwrap_err(),
             ConfigError::InOrderRequiresConcurrent
         );
-    }
-
-    #[test]
-    fn throughput_plan_is_identity() {
-        let cfg = WireCapConfig::basic(256, 100, 0);
-        let plan = cfg.tuning_plan(4);
-        assert_eq!(plan.m, 256);
-        assert_eq!(plan.r, 100);
-        assert_eq!(plan.recycle_depth, 0, "lazy recycle: unbounded");
-        assert_eq!(plan.queues, 4);
-        assert!(!plan.over_budget());
-        let applied = plan.apply(cfg);
-        assert_eq!(applied.m, cfg.m);
-        assert_eq!(applied.r, cfg.r);
-        // Working set: R chunks of M cells + ring/recycle slots each.
-        assert_eq!(plan.working_set_bytes, 100 * (256 * 2048 + 64 + 16));
-    }
-
-    #[test]
-    fn cache_resident_plan_fits_budget() {
-        // 8 MiB across 2 queues = 4 MiB/queue. At M = 64 a chunk pins
-        // 64·2048 + 80 = 131 152 B → R = 31; segments = 16, floor 17.
-        let mut cfg = WireCapConfig::basic(64, 400, 0);
-        cfg.tuning = TuningMode::CacheResident { llc_bytes: 8 << 20 };
-        cfg.validate().unwrap();
-        let plan = cfg.tuning_plan(2);
-        assert_eq!(plan.m, 64, "M untouched when chunks are small");
-        assert_eq!(plan.r, 31);
-        assert!(plan.r > cfg.segments(), "stays structurally valid");
-        assert!(plan.working_set_bytes <= 4 << 20, "fits per-queue budget");
-        assert!(!plan.over_budget());
-        // Recycle depth: a quarter of the spare chunks, ≥ 1.
-        assert_eq!(plan.recycle_depth, (31 - 16) / 4);
-        let applied = plan.apply(cfg);
-        assert_eq!(applied.r, 31);
-        applied.validate().unwrap();
-    }
-
-    #[test]
-    fn cache_resident_never_grows_the_pool() {
-        let mut cfg = WireCapConfig::basic(64, 40, 0);
-        cfg.tuning = TuningMode::CacheResident {
-            llc_bytes: 1 << 30, // 1 GiB: budget dwarfs the pool
-        };
-        let plan = cfg.tuning_plan(1);
-        assert_eq!(plan.r, 40, "budget surplus never grows R");
-        assert_eq!(plan.m, 64);
-    }
-
-    #[test]
-    fn cache_resident_halves_m_for_tiny_budgets() {
-        // 512 KiB/queue: a 256-cell chunk (512 KiB) is itself the whole
-        // budget, so M halves until a chunk takes ≤ a quarter of it —
-        // 256 → 128 → 64 → 32 (32·2048 + 80 ≈ 64 KiB ≤ 128 KiB).
-        let mut cfg = WireCapConfig::basic(256, 100, 0);
-        cfg.tuning = TuningMode::CacheResident {
-            llc_bytes: 512 << 10,
-        };
-        let plan = cfg.tuning_plan(1);
-        assert_eq!(plan.m, 32, "M shrinks when one chunk crowds the budget");
-        assert!(cfg.ring_size.is_multiple_of(plan.m), "M keeps dividing N");
-        // The floor (segments + 1 at the derived M) won: working set is
-        // ring-bound and the plan reports the budget overshoot.
-        assert_eq!(plan.r, 1024 / 32 + 1);
-        assert!(plan.over_budget());
-        plan.apply(cfg).validate().unwrap();
-    }
-
-    #[test]
-    fn cache_resident_r_is_monotone_in_budget() {
-        let mut prev = 0usize;
-        for mib in [1u64, 2, 4, 8, 16, 32, 64] {
-            let mut cfg = WireCapConfig::basic(64, 4096, 0);
-            cfg.tuning = TuningMode::CacheResident {
-                llc_bytes: mib << 20,
-            };
-            let plan = cfg.tuning_plan(1);
-            assert!(plan.r >= prev, "R shrank as the budget grew");
-            assert!(plan.recycle_depth >= 1);
-            assert!(plan.recycle_depth <= plan.r - cfg.ring_size / plan.m);
-            prev = plan.r;
-        }
-    }
-
-    #[test]
-    fn tuning_knobs_validate_and_build() {
-        let cfg = WireCapConfig::builder()
-            .tuning(TuningMode::CacheResident {
-                llc_bytes: 16 << 20,
-            })
-            .latency_slo_ns(2_000_000)
-            .build()
-            .unwrap();
-        assert_eq!(
-            cfg.tuning,
-            TuningMode::CacheResident {
-                llc_bytes: 16 << 20
-            }
-        );
-        assert_eq!(cfg.latency_slo_ns, Some(2_000_000));
-        assert_eq!(
-            WireCapConfig::builder()
-                .tuning(TuningMode::CacheResident { llc_bytes: 0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidLlcBudget
-        );
-        let basic = WireCapConfig::basic(64, 32, 0);
-        assert_eq!(basic.tuning, TuningMode::Throughput);
-        assert_eq!(basic.latency_slo_ns, None);
     }
 
     #[test]

@@ -422,24 +422,20 @@ impl CaptureEngine for WireCapEngine {
     }
 }
 
-/// Renders the resolved [`TuningPlan`](crate::config::TuningPlan) for
-/// `cfg` into the snapshot schema, shared by the sim engine and the
-/// live threaded path.
+/// Reports `cfg`'s pool geometry in the snapshot's `tuning` block,
+/// shared by the sim engine and the live threaded path. The engine
+/// runs the configured M and R as given, so the block reads mode
+/// `"throughput"` with no LLC budget and no recycle-depth bound.
 pub fn tuning_telemetry(cfg: &WireCapConfig, queues: usize) -> telemetry::TuningTelemetry {
-    let plan = cfg.tuning_plan(queues);
-    let (mode, llc_bytes) = match cfg.tuning {
-        crate::config::TuningMode::Throughput => ("throughput", 0),
-        crate::config::TuningMode::CacheResident { llc_bytes } => ("cache_resident", llc_bytes),
-    };
     telemetry::TuningTelemetry {
-        mode: mode.into(),
-        llc_bytes,
+        mode: "throughput".into(),
+        llc_bytes: 0,
         queues: queues as u64,
         r_configured: cfg.r as u64,
-        r_effective: plan.r as u64,
-        m_effective: plan.m as u64,
-        recycle_depth: plan.recycle_depth as u64,
-        working_set_bytes: plan.working_set_bytes,
+        r_effective: cfg.r as u64,
+        m_effective: cfg.m as u64,
+        recycle_depth: 0,
+        working_set_bytes: cfg.pool_bytes(),
     }
 }
 

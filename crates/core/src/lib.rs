@@ -79,7 +79,7 @@ pub use backend::{
 pub use buddy::BuddyGroup;
 pub use chunk::{ChunkId, ChunkMeta, ChunkState};
 pub use claim::{Claim, ClaimQueue, ReorderBuffer};
-pub use config::{ConfigError, TuningMode, TuningPlan, WireCapConfig, WireCapConfigBuilder};
+pub use config::{ConfigError, WireCapConfig, WireCapConfigBuilder};
 pub use engine::WireCapEngine;
 pub use live::{ChunkLens, LiveChunk, LiveConsumer, LiveWireCap, RegistryHandle};
 pub use pool::RingBufferPool;

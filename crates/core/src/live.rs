@@ -181,17 +181,6 @@ pub(crate) struct Shared {
     /// In-order mode: one reorder buffer per *home* queue (capacity R)
     /// re-serializing claimed chunks by seal sequence.
     pub(crate) reorder: Option<Vec<ReorderBuffer<LiveChunk>>>,
-    /// Fast-recycle bound from the resolved [`TuningPlan`]: max
-    /// sealed-but-unrecycled chunks a consumer holds before it
-    /// prioritizes recycling over claiming new work. 0 = unbounded
-    /// (`Throughput` mode's lazy recycle at refill).
-    ///
-    /// [`TuningPlan`]: crate::config::TuningPlan
-    pub(crate) recycle_depth: usize,
-    /// The resolved tuning derivation, reported verbatim in every
-    /// engine snapshot so a capture of "what geometry actually ran"
-    /// travels with the counters.
-    pub(crate) tuning: telemetry::TuningTelemetry,
 }
 
 /// The live WireCAP engine: per-queue capture threads over any
@@ -256,14 +245,6 @@ impl LiveWireCap {
     ) -> Self {
         cfg.validate().expect("invalid WireCAP configuration");
         let queues = backend.queue_count();
-        // Resolve the tuning derivation (DESIGN.md §4.16) against the
-        // actual queue count and build the pools with the *effective*
-        // geometry: `CacheResident` shrinks R (and sometimes M) so the
-        // hot working set fits the LLC budget; `Throughput` is the
-        // identity.
-        let plan = cfg.tuning_plan(queues);
-        let tuning = crate::engine::tuning_telemetry(&cfg, queues);
-        let cfg = plan.apply(cfg);
         let mut arenas = Vec::with_capacity(queues);
         let mut freelists = Vec::with_capacity(queues);
         for _ in 0..queues {
@@ -291,8 +272,6 @@ impl LiveWireCap {
             }),
             reorder: (cfg.concurrent_queue && cfg.in_order)
                 .then(|| (0..queues).map(|_| ReorderBuffer::new(cfg.r)).collect()),
-            recycle_depth: plan.recycle_depth,
-            tuning,
         });
         if std::env::var_os("WIRECAP_TELEMETRY_DUMP").is_some() {
             dump::install_sigusr1();
@@ -530,7 +509,7 @@ fn engine_snapshot(
 ) -> EngineSnapshot {
     EngineSnapshot {
         engine: cfg.name(),
-        tuning: Some(shared.tuning.clone()),
+        tuning: Some(crate::engine::tuning_telemetry(cfg, shared.rings.len())),
         queues: (0..shared.rings.len())
             .map(|q| queue_telemetry(shared, backend, cfg, q))
             .collect(),
@@ -1079,31 +1058,13 @@ impl LiveConsumer {
     }
 
     /// Pops a batch from each inbound ring into the local inbox.
-    ///
-    /// Fast-recycle mode (`CacheResident` tuning): the pop is capped at
-    /// the plan's recycle depth, so the consumer never holds more
-    /// sealed-but-unrecycled chunks than the bound — each one goes back
-    /// to the capture thread while its cells are still cache-warm,
-    /// instead of queueing a full `MAX_BATCH` behind the handler.
     fn refill(&mut self) -> bool {
         self.flush_tally();
         let producers = self.shared.rings[self.q].len();
-        let depth = self.shared.recycle_depth;
-        let mut budget = if depth > 0 {
-            depth.saturating_sub(self.inbox.len()).max(1)
-        } else {
-            usize::MAX
-        };
         let mut got = false;
         for i in 0..producers {
             let p = (self.rr + i) % producers;
-            if budget == 0 {
-                break;
-            }
-            let n =
-                self.shared.rings[self.q][p].pop_batch(&mut self.scratch, MAX_BATCH.min(budget));
-            budget -= n;
-            if n > 0 {
+            if self.shared.rings[self.q][p].pop_batch(&mut self.scratch, MAX_BATCH) > 0 {
                 got = true;
             }
         }

@@ -9,9 +9,10 @@
 //! *delivery* side:
 //!
 //! * a bounded, chunk-granularity **work-stealing deque** — the owner
-//!   pushes and pops at the bottom without atomic read-modify-write
-//!   instructions; thieves CAS at the top only — so the common
-//!   (no-contention) path stays as cheap as a local queue;
+//!   pushes at the bottom without atomic read-modify-write
+//!   instructions, and every chunk leaves from the top with one CAS,
+//!   the owner's own included, so each worker serves its backlog
+//!   oldest-first;
 //! * a [`ConsumerPool`] running N worker threads over the queues of one
 //!   [`BuddyGroup`]: each worker drains the SPSC rings of the queues it
 //!   owns into its local deque, and steals sealed chunks from busy
@@ -119,8 +120,9 @@ impl<T> DequeOwner<T> {
         self.inner.push(value)
     }
 
-    /// Pops the most recently pushed item (LIFO keeps the owner on
-    /// cache-warm chunks; thieves take the oldest).
+    /// Pops the most recently pushed item. Order-sensitive owners take
+    /// the oldest through their own [`DequeStealer::steal`] instead;
+    /// the pool worker pops only to empty its deque on forced stop.
     pub fn pop(&mut self) -> Option<T> {
         self.inner.pop()
     }
@@ -938,28 +940,10 @@ fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerRe
 
         let mut progressed = false;
 
-        // 1. Drain owned queues' rings into the local deque. In
-        // fast-recycle mode (`CacheResident` tuning) the drain is
-        // bounded at the plan's recycle depth: once the deque backlog
-        // reaches the bound the worker stops claiming new chunks and
-        // the burst below recycles what it holds first — sealed cells
-        // go home while still cache-warm instead of cooling in a long
-        // backlog. Chunks left on the rings stay the producers'
-        // (bounded) inventory; nothing is lost, only deferred.
-        let depth = ctx.shared.recycle_depth;
-        let mut budget = if depth > 0 {
-            depth.saturating_sub(deque.len())
-        } else {
-            usize::MAX
-        };
-        'drain: for &q in &ctx.owned {
+        // 1. Drain owned queues' rings into the local deque.
+        for &q in &ctx.owned {
             for p in 0..producers {
-                if budget == 0 {
-                    break 'drain;
-                }
-                let n = ctx.shared.rings[q][p].pop_batch(&mut scratch, MAX_BATCH.min(budget));
-                budget -= n;
-                if n > 0 {
+                if ctx.shared.rings[q][p].pop_batch(&mut scratch, MAX_BATCH) > 0 {
                     progressed = true;
                 }
             }
@@ -996,21 +980,28 @@ fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerRe
                 .set(deque.len() as u64);
         }
 
-        // 2. Process a bounded burst from the local deque (LIFO:
-        // cache-warm chunks first; thieves take the oldest). One lazy
-        // clock read stamps the delivery moment for the whole burst.
+        // 2. Process a bounded burst from the local deque, oldest
+        // first: the owner takes through its own stealer, exactly as a
+        // thief would, so no chunk waits behind later arrivals (an
+        // owner popping newest-first starves the oldest chunks for as
+        // long as the backlog lasts). One lazy clock read stamps the
+        // delivery moment for the whole burst.
+        let own = &ctx.stealers[ctx.worker];
         let mut burst_ns = 0u64;
         for _ in 0..PROCESS_BURST {
-            match deque.pop() {
-                Some(chunk) => {
-                    if burst_ns == 0 {
-                        burst_ns = clock::mono_ns();
-                    }
-                    process_chunk(&ctx, &mut report, chunk, false, burst_ns);
-                    progressed = true;
+            let chunk = loop {
+                match own.steal() {
+                    Steal::Success(chunk) => break Some(chunk),
+                    Steal::Retry => continue,
+                    Steal::Empty => break None,
                 }
-                None => break,
+            };
+            let Some(chunk) = chunk else { break };
+            if burst_ns == 0 {
+                burst_ns = clock::mono_ns();
             }
+            process_chunk(&ctx, &mut report, chunk, false, burst_ns);
+            progressed = true;
         }
         if let Some(p) = prof.as_mut() {
             p.charge(WorkerTimeState::Deliver);
@@ -1133,16 +1124,6 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
 
         let mut claimed = false;
         let mut contended = false;
-        // Fast-recycle mode caps the per-queue claim burst at the
-        // recycle depth: a worker turns each claimed chunk around
-        // (deliver + recycle home) within a bounded window before
-        // scanning for more, instead of monopolizing one queue's
-        // cursor for a full burst while sealed cells cool.
-        let burst = if ctx.shared.recycle_depth > 0 {
-            PROCESS_BURST.min(ctx.shared.recycle_depth)
-        } else {
-            PROCESS_BURST
-        };
         for i in 0..members {
             // Rotate the scan start per worker so N workers don't all
             // hammer the same queue's claim cursor first.
@@ -1150,7 +1131,7 @@ fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
             // Delivery stamp shared by the whole burst (lazy: no clock
             // read on an empty scan), as in `worker_loop`'s burst.
             let mut burst_ns = 0u64;
-            for _ in 0..burst {
+            for _ in 0..PROCESS_BURST {
                 match claims[q].try_claim() {
                     Claim::Claimed(mut chunk) => {
                         claimed = true;

@@ -116,9 +116,9 @@ pub trait CaptureEngine {
         }
     }
 
-    /// The resolved pool-tuning plan, for engines whose buffer pool is
-    /// sized by a `TuningMode` derivation. Engines without a tuned
-    /// pool report `None`.
+    /// The pool geometry (R, M, pool bytes) for engines built on a
+    /// chunk pool, reported in the snapshot's `tuning` block. Engines
+    /// without one report `None`.
     fn tuning(&self) -> Option<telemetry::TuningTelemetry> {
         None
     }

@@ -17,10 +17,10 @@
 //!   capture-and-save workload of §4 is degrading gracefully instead
 //!   of losing packets silently;
 //! * **tail-latency SLO regression** — the engine-wide p99.9
-//!   capture-to-delivery latency exceeded the configured SLO: the hot
-//!   working set has likely outgrown the cache budget the tuning mode
-//!   sized for (DESIGN.md §4.16), and a flight record of the episode
-//!   is worth keeping.
+//!   capture-to-delivery latency exceeded the configured SLO: the
+//!   consumer is behind and the pool's backlog (bounded by R) is
+//!   queueing delay (DESIGN.md §4.16), and a flight record of the
+//!   episode is worth keeping.
 //!
 //! Detection is hysteretic: a condition must hold for
 //! [`AnomalyConfig::sustain_samples`] consecutive samples to fire, and
@@ -48,7 +48,7 @@ pub struct AnomalyConfig {
     pub disk_drop_pps: Option<f64>,
     /// Fire when the engine-wide p99.9 capture-to-delivery latency
     /// exceeds this many ns — the tail-latency SLO regression episode
-    /// (set from the engine's tuning-mode latency budget).
+    /// (set from the engine's `latency_slo_ns`).
     pub tail_latency_ns: Option<u64>,
     /// Consecutive violating samples required to fire.
     pub sustain_samples: u32,

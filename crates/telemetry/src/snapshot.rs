@@ -222,27 +222,29 @@ impl From<QueueTelemetry> for DropStats {
     }
 }
 
-/// How an engine's pool geometry was derived by the tuning sizing
-/// pass (DESIGN.md §4.16). Logged into [`EngineSnapshot`] so a
-/// capture's cache-budget decisions are auditable after the fact.
+/// The pool geometry an engine runs with, logged into
+/// [`EngineSnapshot`] so a capture's buffering budget is auditable after
+/// the fact. The field names are a frozen schema; the engine runs its
+/// configured geometry unmodified, so `mode` is `"throughput"`,
+/// `llc_bytes` and `recycle_depth` are 0 and `r_effective` =
+/// `r_configured`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TuningTelemetry {
-    /// `"throughput"` or `"cache_resident"`.
+    /// Always `"throughput"`: the configured geometry, unmodified.
     pub mode: String,
-    /// Target LLC budget in bytes (0 in throughput mode).
+    /// Always 0 (no LLC budget).
     pub llc_bytes: u64,
-    /// Queue count the budget was split across.
+    /// Receive queues, each with its own pool.
     pub queues: u64,
-    /// Configured pool chunks per queue (R before the sizing pass).
+    /// Configured pool chunks per queue (R).
     pub r_configured: u64,
-    /// Effective pool chunks per queue the engine runs with.
+    /// Pool chunks per queue the engine runs with (= `r_configured`).
     pub r_effective: u64,
-    /// Effective cells per chunk (M after the sizing pass).
+    /// Cells per chunk (M).
     pub m_effective: u64,
-    /// Max sealed-but-unrecycled chunks per queue before consumers
-    /// prioritize recycling (0 = unbounded lazy recycle).
+    /// Always 0: consumers recycle at their own cadence, unbounded.
     pub recycle_depth: u64,
-    /// Estimated per-queue hot working set at the effective geometry.
+    /// Per-queue pool bytes, R × M × cell size.
     pub working_set_bytes: u64,
 }
 
@@ -252,8 +254,8 @@ pub struct TuningTelemetry {
 pub struct EngineSnapshot {
     /// Engine display name (e.g. `WireCAP-A-(64, 20, 60%)`).
     pub engine: String,
-    /// The tuning sizing pass that produced the engine's pool
-    /// geometry (`None` for engines without a tuned pool).
+    /// The engine's pool geometry (`None` for engines without a
+    /// chunk pool).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub tuning: Option<TuningTelemetry>,
     /// Per-queue telemetry, indexed by queue.

@@ -96,7 +96,8 @@ done
 echo "==> small figure runs (scratch output; results/ is not clobbered)"
 # Each asserts conservation at every point. fig_scaling exits non-zero
 # unless pool_speedup and hotq_speedup are >= 1.5, fig_latency unless
-# cache-resident p99.9 <= throughput p99.9; fig_flows checks exact top-16.
+# saturated p99.9 at the largest pool >= at the smallest (tail_reduction
+# >= 1); fig_flows checks exact top-16.
 cargo run -q --release -p bench --bin fig_scaling -- --small --out target/check-scaling
 cargo run -q --release -p bench --bin fig_flows -- --small --out target/check-flows
 cargo run -q --release -p bench --bin fig_latency -- --small --out target/check-latency

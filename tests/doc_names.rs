@@ -4,8 +4,9 @@
 //! and figure binaries, and the documentation cites those by name. Two
 //! checks keep that vocabulary honest: no current source or document
 //! still mentions a retired name (the bench, its artifact, the poller's
-//! deleted spin stage and its knob), and every name the EXPERIMENTS.md
-//! disposition table sends a reader to exists.
+//! deleted spin stage and its knob, the deleted pool-tuning layer), and
+//! every name the EXPERIMENTS.md disposition table sends a reader to
+//! exists.
 
 use serde::Value;
 use std::collections::BTreeSet;
@@ -60,6 +61,10 @@ fn nothing_current_cites_a_retired_name() {
         // The adaptive poller's deleted busy-spin stage and its knob.
         concat!("spin_", "iters"),
         concat!("IdleStep::", "Spun"),
+        // The deleted LLC-budget tuning layer.
+        concat!("Tuning", "Mode"),
+        concat!("Tuning", "Plan"),
+        concat!("tuning_", "plan"),
     ];
     let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].map(|f| repo().join(f));
 

@@ -19,10 +19,10 @@
 //! Randomized worker stalls (a sleep on a pseudo-random subset of
 //! chunks) force reorder-buffer occupancy and claim contention, so the
 //! in-order path is exercised with real gaps, not just the fast path.
-//! The pool tuning mode is randomized too (DESIGN.md §4.16): runs
-//! alternate between `Throughput` and `CacheResident` at randomized
-//! LLC budgets, so the shrunk-pool/fast-recycle path faces the same
-//! interleavings — including forced stops — as the default.
+//! The pool size R is randomized too, from the smallest valid pool
+//! (one spare chunk past the descriptor segments) up to the default,
+//! so a shrunk pool faces the same interleavings — including forced
+//! stops — as the default.
 
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
@@ -38,15 +38,18 @@ use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::{PoolWorkerReport, WireCapConfig};
 
+/// Cells per chunk, default pool size and descriptor segments (ring
+/// size 1024 / M) of every run.
+const M: usize = 32;
+const R: usize = 64;
+const SEGMENTS: usize = 1024 / M;
+
 /// One concurrent-claim pool run. `stall_us > 0` makes the handler
 /// sleep on every chunk whose sequence number lands on a small residue
 /// class, staggering workers so in-order runs accumulate real gaps.
 /// `force_stop` tears the pool down right after the rings close,
-/// exercising the claim-drain and reorder-strand sweep. `llc_kb > 0`
-/// switches the pool to `CacheResident` tuning at that LLC budget
-/// (shrinking R and bounding the claim burst at the recycle depth —
-/// the fast-recycle path must conserve under every interleaving too);
-/// 0 keeps the `Throughput` default.
+/// exercising the claim-drain and reorder-strand sweep. `r` is the
+/// pool size in chunks (`SEGMENTS + 1 ..= R`).
 #[allow(clippy::too_many_arguments)]
 fn run_concurrent(
     total: u64,
@@ -56,18 +59,13 @@ fn run_concurrent(
     stall_us: u64,
     in_order: bool,
     force_stop: bool,
-    llc_kb: u64,
+    r: usize,
 ) -> (EngineSnapshot, Vec<PoolWorkerReport>, u64) {
     let nic = LiveNic::new(queues, 8192);
-    let mut cfg = WireCapConfig::basic(32, 64, 0);
+    let mut cfg = WireCapConfig::basic(M, r, 0);
     cfg.capture_timeout_ns = 1_000_000;
     cfg.concurrent_queue = true;
     cfg.in_order = in_order;
-    if llc_kb > 0 {
-        cfg.tuning = wirecap::TuningMode::CacheResident {
-            llc_bytes: llc_kb * 1024,
-        };
-    }
     let groups = BuddyGroups::single(queues);
     let group = groups.group_of(0).cloned().expect("queue 0 grouped");
     let engine = LiveWireCap::builder()
@@ -182,7 +180,7 @@ fn assert_conserved(snap: &EngineSnapshot, total: u64) {
 /// stalls, strictly increasing delivery asserted in the handler.
 #[test]
 fn inorder_claims_deliver_sequenced_and_conserve() {
-    let (snap, reports, handled) = run_concurrent(1_600, 2, 3, 1, 120, true, false, 0);
+    let (snap, reports, handled) = run_concurrent(1_600, 2, 3, 1, 120, true, false, R);
     assert_conserved(&snap, 1_600);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered, "handler saw every delivered packet");
@@ -196,12 +194,11 @@ fn inorder_claims_deliver_sequenced_and_conserve() {
 
 /// A forced stop mid-claim drops whatever is still queued or stranded
 /// behind a reorder gap, and the drops are accounted — no chunk is
-/// left in the buffer, no slot leaks. Runs under `CacheResident`
-/// tuning: the shrunk pool and the depth-bounded claim burst must not
-/// perturb the forced-stop sweep.
+/// left in the buffer, no slot leaks. Runs at the smallest valid pool:
+/// a shrunk pool must not perturb the forced-stop sweep.
 #[test]
 fn forced_stop_drains_reorder_buffer_without_leaks() {
-    let (snap, reports, handled) = run_concurrent(2_000, 2, 3, 4, 150, true, true, 2 * 1024);
+    let (snap, reports, handled) = run_concurrent(2_000, 2, 3, 4, 150, true, true, SEGMENTS + 1);
     assert_conserved(&snap, 2_000);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered);
@@ -214,9 +211,8 @@ proptest! {
     /// Conservation and per-queue delivery order hold across
     /// randomized claim interleavings: any worker count, any flow
     /// spread, any stall pattern, graceful or forced teardown,
-    /// ordered or unordered, under either tuning mode (`llc_kb == 0`
-    /// is `Throughput`; otherwise `CacheResident` budgets from a tiny
-    /// 256 KiB up past the pool's full working set).
+    /// ordered or unordered, at any pool size from the smallest valid
+    /// one up to the default.
     #[test]
     fn claim_accounting_survives_random_interleavings(
         total in 400u64..2_500,
@@ -226,10 +222,10 @@ proptest! {
         stall_us in 0u64..150,
         in_order in any::<bool>(),
         force_stop in any::<bool>(),
-        llc_kb in prop_oneof![Just(0u64), 256u64..16_384],
+        r in SEGMENTS + 1..=R,
     ) {
         let (snap, reports, handled) =
-            run_concurrent(total, queues, workers, flows, stall_us, in_order, force_stop, llc_kb);
+            run_concurrent(total, queues, workers, flows, stall_us, in_order, force_stop, r);
         assert_conserved(&snap, total);
         let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
         prop_assert_eq!(handled, delivered);

@@ -51,28 +51,28 @@ fn backends() -> Vec<Arc<dyn LoopbackBackend>> {
     ]
 }
 
+/// Cells per chunk, default pool size and descriptor segments (ring
+/// size 1024 / M) of every run.
+const M: usize = 32;
+const R: usize = 40;
+const SEGMENTS: usize = 1024 / M;
+
 /// One randomized run: `total` packets of a single flow, the offload
 /// target's consumer exiting after `early_chunks` chunks, and the home
 /// queue's consumer slowed by `busy_sleep_us` per chunk (backlog
-/// pressure that makes offloading fire). `llc_kb > 0` switches the
-/// pool to `CacheResident` tuning at that LLC budget (DESIGN.md
-/// §4.16) — offloading and the stranded-chunk rescue must conserve
-/// with a shrunk pool and depth-bounded refills just as with the
-/// `Throughput` default. Returns the final snapshot.
+/// pressure that makes offloading fire). `r` is the pool size in
+/// chunks (`SEGMENTS + 1 ..= R`): offloading and the stranded-chunk
+/// rescue must conserve with a shrunk pool just as with the default.
+/// Returns the final snapshot.
 fn run_interleaving(
     backend: Arc<dyn LoopbackBackend>,
     total: u64,
     early_chunks: usize,
     busy_sleep_us: u64,
-    llc_kb: u64,
+    r: usize,
 ) -> EngineSnapshot {
-    let mut cfg = WireCapConfig::advanced(32, 40, 0.2, 0);
+    let mut cfg = WireCapConfig::advanced(M, r, 0.2, 0);
     cfg.capture_timeout_ns = 1_000_000;
-    if llc_kb > 0 {
-        cfg.tuning = wirecap::TuningMode::CacheResident {
-            llc_bytes: llc_kb * 1024,
-        };
-    }
     let upcast: Arc<dyn CaptureBackend> = backend.clone();
     let engine = LiveWireCap::builder()
         .backend(upcast)
@@ -194,18 +194,17 @@ proptest! {
 
     /// Conservation holds across randomized early-shutdown
     /// interleavings: any exit point of the target's consumer, any
-    /// backlog pressure on the home queue, on every backend, under
-    /// either tuning mode (`llc_kb == 0` is `Throughput`; otherwise
-    /// `CacheResident` at a randomized LLC budget).
+    /// backlog pressure on the home queue, on every backend, at any
+    /// pool size from the smallest valid one up to the default.
     #[test]
     fn offload_accounting_survives_early_consumer_exit(
         total in 1_500u64..5_000,
         early_chunks in 0usize..12,
         busy_sleep_us in 0u64..200,
-        llc_kb in prop_oneof![Just(0u64), 256u64..16_384],
+        r in SEGMENTS + 1..=R,
     ) {
         for backend in backends() {
-            let snap = run_interleaving(backend, total, early_chunks, busy_sleep_us, llc_kb);
+            let snap = run_interleaving(backend, total, early_chunks, busy_sleep_us, r);
             assert_conserved(&snap, total);
         }
     }
@@ -219,7 +218,7 @@ proptest! {
 fn offloads_fire_and_survive_target_consumer_exit() {
     for backend in backends() {
         let name = backend.name();
-        let snap = run_interleaving(backend, 6_000, 2, 300, 0);
+        let snap = run_interleaving(backend, 6_000, 2, 300, R);
         assert_conserved(&snap, 6_000);
         let out: u64 = snap.queues.iter().map(|q| q.offloaded_out_chunks).sum();
         assert!(
