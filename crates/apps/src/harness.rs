@@ -205,11 +205,6 @@ pub fn run_experiment(
     if let Some(view) = live_view.take() {
         view.finish(snapshot.clone());
     }
-    // `scripts/`-friendly dump hook: when WIRECAP_TELEMETRY_DUMP is
-    // set, every harness run (figure binaries included) writes the
-    // unified snapshot at completion, same as the live engine does at
-    // shutdown.
-    telemetry::dump::dump_snapshot(&snapshot);
     let per_queue: Vec<DropStats> = snapshot.queues.iter().map(DropStats::from).collect();
     let mut total = DropStats::default();
     for s in &per_queue {

@@ -62,8 +62,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::{
-    clock, dump, kind, EngineSnapshot, Observable, PipelineConfig, QueueTelemetry, Registry,
-    SpanRecord, SpanStamps, TelemetryPipeline, TraceEvent,
+    clock, kind, EngineSnapshot, Observable, PipelineConfig, QueueTelemetry, Registry, SpanRecord,
+    SpanStamps, TelemetryPipeline, TraceEvent,
 };
 
 /// Packets pulled from the NIC queue per batch.
@@ -183,6 +183,65 @@ pub(crate) struct Shared {
     pub(crate) reorder: Option<Vec<ReorderBuffer<LiveChunk>>>,
 }
 
+/// The delivery side's shared steps, one copy each for [`LiveConsumer`]
+/// and every pool intake (`crate::steal`).
+impl Shared {
+    /// Pops a batch from each of queue `q`'s inbound rings into
+    /// `scratch`, starting at producer `first`. True if any gave a chunk.
+    #[inline]
+    pub(crate) fn pop_inbound(&self, q: usize, first: usize, scratch: &mut Vec<LiveChunk>) -> bool {
+        let (before, from) = self.rings[q].split_at(first);
+        let mut got = false;
+        for ring in from.iter().chain(before) {
+            got |= ring.pop_batch(scratch, MAX_BATCH) > 0;
+        }
+        got
+    }
+
+    /// The one way home for a chunk outside the capture thread: pushes
+    /// its slot onto the home queue's recycle queue (sized R, and only R
+    /// slots exist, so it cannot stay full; spin defensively anyway) and
+    /// wakes a capture thread parked on pool exhaustion.
+    #[inline]
+    pub(crate) fn recycle_home(&self, chunk: LiveChunk) {
+        let home = chunk.home();
+        let mut seal = chunk.seal;
+        while let Err(back) = self.recycle[home].push(seal) {
+            seal = back;
+            std::thread::yield_now();
+        }
+        self.capture_gate.notify();
+    }
+
+    /// Sends home a chunk that will never reach an application, counting
+    /// its slot as recycled and its packets as delivery drops on its
+    /// *home* queue — so `captured == delivered + delivery_drop` holds
+    /// per queue, not only in sum.
+    #[inline]
+    pub(crate) fn drop_undelivered(&self, chunk: LiveChunk) {
+        let tel = self.tel.queue(chunk.home());
+        tel.app.recycled_chunks.add(1);
+        tel.cap.delivery_drop_packets.add(chunk.len() as u64);
+        self.recycle_home(chunk);
+    }
+
+    /// Retires a sampled chunk's span: its stage durations go to the
+    /// caller's single-writer delivery `shard` (`None` skips them), the
+    /// record to the lock-protected span ring.
+    #[inline]
+    pub(crate) fn retire_span(&self, shard: Option<usize>, rec: SpanRecord) {
+        if let Some(q) = shard {
+            let app = &self.tel.queue(q).app;
+            app.stage_backend_ns.record(rec.stage_backend_ns);
+            app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
+            app.stage_claim_ns.record(rec.stage_claim_ns);
+            app.stage_reorder_ns.record(rec.stage_reorder_ns);
+            app.stage_deliver_ns.record(rec.stage_deliver_ns);
+        }
+        self.tel.spans().push(rec);
+    }
+}
+
 /// The live WireCAP engine: per-queue capture threads over any
 /// [`CaptureBackend`].
 pub struct LiveWireCap {
@@ -273,9 +332,6 @@ impl LiveWireCap {
             reorder: (cfg.concurrent_queue && cfg.in_order)
                 .then(|| (0..queues).map(|_| ReorderBuffer::new(cfg.r)).collect()),
         });
-        if std::env::var_os("WIRECAP_TELEMETRY_DUMP").is_some() {
-            dump::install_sigusr1();
-        }
         // Live observability (DESIGN.md §4.9): sampler thread + scrape
         // endpoint, attached only when the telemetry env asks for them.
         // The anomaly detector's queue-depth limit comes from the
@@ -450,8 +506,7 @@ impl LiveWireCap {
     }
 
     /// Stops the capture threads (consumers should be joined first) and
-    /// waits for them. Writes a final telemetry snapshot when
-    /// `WIRECAP_TELEMETRY_DUMP` is set.
+    /// waits for them.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Parked capture threads notice the flag immediately instead of
@@ -465,7 +520,6 @@ impl LiveWireCap {
         if let Some(mut p) = self.pipeline.take() {
             p.stop();
         }
-        dump::dump_snapshot(&self.snapshot());
     }
 }
 
@@ -714,11 +768,6 @@ fn capture_thread(
         if progressed {
             poller.reset();
         } else {
-            // Queue 0's capture thread doubles as the SIGUSR1 servant:
-            // it renders the dump off the hot path, only when idle.
-            if q == 0 && dump::take_dump_request() {
-                dump::dump_snapshot(&engine_snapshot(&shared, backend.as_ref(), &cfg));
-            }
             // Ticket before the final work checks (the stop flag, the
             // recycle queue): a shutdown() or a slot coming home after
             // this point notifies the gate, which turns the park below
@@ -1060,15 +1109,8 @@ impl LiveConsumer {
     /// Pops a batch from each inbound ring into the local inbox.
     fn refill(&mut self) -> bool {
         self.flush_tally();
-        let producers = self.shared.rings[self.q].len();
-        let mut got = false;
-        for i in 0..producers {
-            let p = (self.rr + i) % producers;
-            if self.shared.rings[self.q][p].pop_batch(&mut self.scratch, MAX_BATCH) > 0 {
-                got = true;
-            }
-        }
-        self.rr = (self.rr + 1) % producers;
+        let got = self.shared.pop_inbound(self.q, self.rr, &mut self.scratch);
+        self.rr = (self.rr + 1) % self.shared.rings[self.q].len();
         if got {
             // One clock read per batch stamps the delivery moment for
             // every chunk just popped (see `delivered_ns`).
@@ -1178,13 +1220,7 @@ impl LiveConsumer {
                 &span,
                 self.delivered_ns.get().max(span.disk_write_ns),
             );
-            let app = &self.shared.tel.queue(self.q).app;
-            app.stage_backend_ns.record(rec.stage_backend_ns);
-            app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
-            app.stage_claim_ns.record(rec.stage_claim_ns);
-            app.stage_reorder_ns.record(rec.stage_reorder_ns);
-            app.stage_deliver_ns.record(rec.stage_deliver_ns);
-            self.shared.tel.spans().push(rec);
+            self.shared.retire_span(Some(self.q), rec);
         }
         let tracer = self.shared.tel.tracer();
         if tracer.is_enabled() {
@@ -1197,16 +1233,7 @@ impl LiveConsumer {
                 chunk.len() as u64,
             );
         }
-        // The recycle queue is sized R and only R slots exist, so this
-        // cannot stay full; spin defensively anyway.
-        let mut seal = chunk.seal;
-        while let Err(back) = self.shared.recycle[home].push(seal) {
-            seal = back;
-            std::thread::yield_now();
-        }
-        // A capture thread parked on pool exhaustion resumes as soon as
-        // a slot comes home (cheap when nobody is parked).
-        self.shared.capture_gate.notify();
+        self.shared.recycle_home(chunk);
     }
 }
 
@@ -1220,25 +1247,8 @@ impl Drop for LiveConsumer {
         // captured, popped, but never handed to an application. (Chunks
         // still *on* the rings are not ours to recycle; a successor
         // consumer on this queue finds them there.)
-        let mut undelivered = 0u64;
         for chunk in self.pending.take().into_iter().chain(self.inbox.drain(..)) {
-            undelivered += chunk.len() as u64;
-            let home = chunk.home();
-            self.shared.tel.queue(home).app.recycled_chunks.add(1);
-            let mut seal = chunk.seal;
-            while let Err(back) = self.shared.recycle[home].push(seal) {
-                seal = back;
-                std::thread::yield_now();
-            }
-            self.shared.capture_gate.notify();
-        }
-        if undelivered > 0 {
-            self.shared
-                .tel
-                .queue(self.q)
-                .cap
-                .delivery_drop_packets
-                .add(undelivered);
+            self.shared.drop_undelivered(chunk);
         }
         self.flush_tally();
     }

@@ -29,13 +29,15 @@
 //!
 //! Recycling stays home-pool-only exactly as the offload path does:
 //! stealing moves the *handle*, never the payload, and the slot always
-//! returns to `recycle[chunk.home()]`. `ChunkLens`/capdisk drainers are
+//! returns home through the one path every consumer shares
+//! (`Shared::recycle_home`, or `Shared::drop_undelivered` for a chunk
+//! that never reaches the handler). `ChunkLens`/capdisk drainers are
 //! unaffected because stealing happens after chunks leave the rings,
 //! never inside another consumer's inbox.
 //!
-//! With `cfg.concurrent_queue` the pool switches delivery models
-//! entirely: instead of per-worker deques fed by per-queue rings,
-//! every worker claims sealed chunks straight off the group's shared
+//! With `cfg.concurrent_queue` the pool's one worker loop switches
+//! intake: instead of per-worker deques fed by per-queue rings, every
+//! worker claims sealed chunks straight off the group's shared
 //! [`ClaimQueue`]s (COREC-style concurrent single-queue consumption,
 //! DESIGN.md §4.12), so even one scorching queue is drained by all N
 //! workers at once. A lost claim CAS feeds the `claim_contention`
@@ -47,7 +49,6 @@ use crate::buddy::BuddyGroup;
 use crate::claim::{Claim, ClaimQueue, ReorderBuffer};
 use crate::config::WireCapConfig;
 use crate::live::{LiveChunk, Shared};
-use crate::spsc::MAX_BATCH;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -626,6 +627,7 @@ struct WorkerCtx {
     shared: Arc<Shared>,
     cfg: WireCapConfig,
     stop: Arc<AtomicBool>,
+    /// Every worker's deque stealer (empty with the claim intake).
     stealers: Vec<DequeStealer<LiveChunk>>,
     handler: Arc<PoolHandler>,
     pin_core: Option<usize>,
@@ -644,29 +646,30 @@ impl ConsumerPool {
         for &q in group.members() {
             assert!(q < queues, "group queue {q} out of range");
         }
-        let concurrent = shared.claims.is_some();
-        // Size each deque to every chunk that exists across the group:
-        // an owner push can then never find the deque full. Concurrent
-        // mode claims straight off the shared queues and never touches
-        // the deques, so keep them token-sized.
-        let deque_cap = if concurrent {
-            2
-        } else {
-            (group.members().len().max(1)) * cfg.r
-        };
-        let mut owners = Vec::with_capacity(workers);
-        let mut stealers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (o, s) = steal_deque::<LiveChunk>(deque_cap);
-            owners.push(o);
-            stealers.push(s);
-        }
+        // Deque intake: size each deque to every chunk that exists
+        // across the group, so an owner push can never find it full. The
+        // claim intake reads the shared claim queues and needs none.
+        let deque_cap = group.members().len().max(1) * cfg.r;
+        let mut stealers = Vec::new();
+        let intakes: Vec<Intake> = (0..workers)
+            .map(|_| {
+                if shared.claims.is_some() {
+                    return Intake::Claim;
+                }
+                let (deque, stealer) = steal_deque(deque_cap);
+                stealers.push(stealer);
+                Intake::Deque {
+                    deque,
+                    scratch: Vec::new(),
+                }
+            })
+            .collect();
         let stop = Arc::new(AtomicBool::new(false));
         let cores = available_cores();
-        let handles = owners
+        let handles = intakes
             .into_iter()
             .enumerate()
-            .map(|(w, deque)| {
+            .map(|(w, intake)| {
                 let ctx = WorkerCtx {
                     worker: w,
                     owned: group.worker_shard(w, workers),
@@ -683,14 +686,7 @@ impl ConsumerPool {
                 };
                 std::thread::Builder::new()
                     .name(format!("wirecap-pool-{w}"))
-                    .spawn(move || {
-                        if ctx.shared.claims.is_some() {
-                            drop(deque);
-                            concurrent_worker_loop(ctx)
-                        } else {
-                            worker_loop(ctx, deque)
-                        }
-                    })
+                    .spawn(move || worker_loop(ctx, intake))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -764,20 +760,6 @@ impl WorkerProfiler {
         self.state.account(s, now.saturating_sub(self.last_ns));
         self.last_ns = now;
     }
-
-    /// Charges an idle step to its matching bucket.
-    fn charge_idle(&mut self, step: IdleStep) {
-        self.charge(match step {
-            IdleStep::Yielded => WorkerTimeState::Yield,
-            IdleStep::Parked => WorkerTimeState::Park,
-        });
-    }
-}
-
-/// Builds a worker's profiler when span tracing is enabled.
-fn profiler_for(ctx: &WorkerCtx) -> Option<WorkerProfiler> {
-    (ctx.cfg.span_sample_n > 0)
-        .then(|| WorkerProfiler::new(ctx.shared.tel.register_worker(ctx.worker as u32)))
 }
 
 /// Processes one chunk: hands it to the handler, closes the latency
@@ -854,8 +836,7 @@ fn process_chunk(
         }
     }
     // Sampled chunk: decompose the interval into stages (same shard
-    // discipline as `latency_ns`) and retire the span to the shared
-    // ring, which is lock-protected and safe from any worker.
+    // discipline as `latency_ns`) and retire the span.
     if let Some(span) = chunk.span {
         let rec = SpanRecord::from_stamps(
             chunk.home,
@@ -866,44 +847,143 @@ fn process_chunk(
             &span,
             span.deliver_end_ns,
         );
-        if let Some(&pq) = ctx.owned.first() {
-            let app = &ctx.shared.tel.queue(pq).app;
-            app.stage_backend_ns.record(rec.stage_backend_ns);
-            app.stage_queue_wait_ns.record(rec.stage_queue_wait_ns);
-            app.stage_claim_ns.record(rec.stage_claim_ns);
-            app.stage_reorder_ns.record(rec.stage_reorder_ns);
-            app.stage_deliver_ns.record(rec.stage_deliver_ns);
+        ctx.shared.retire_span(ctx.owned.first().copied(), rec);
+    }
+    ctx.shared.recycle_home(chunk);
+}
+
+/// Where a pool worker's chunks come from. [`worker_loop`] matches it
+/// once per round, never per chunk.
+enum Intake {
+    /// A per-worker deque fed from the worker's owned queues' rings,
+    /// with stealing from peers' deques when those go quiet.
+    Deque {
+        deque: DequeOwner<LiveChunk>,
+        scratch: Vec<LiveChunk>,
+    },
+    /// Claims straight off the group's shared [`ClaimQueue`]s, so N
+    /// workers drain even a single hot queue concurrently. No deques
+    /// and no stealing — the claim CAS *is* the load balancer — so
+    /// `Σ steal_in == Σ steal_out == 0` holds trivially here.
+    Claim,
+}
+
+/// What one [`Intake::round`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Round {
+    /// Work moved: chunks drained or delivered, or a steal race lost
+    /// (contention on a deque means work exists; stay hot).
+    Delivered,
+    /// Only lost claim races: work exists and a peer has it.
+    Contended,
+    /// Nothing to do.
+    Idle,
+}
+
+impl Intake {
+    /// One pass over the intake's sources, delivering what it finds.
+    fn round(
+        &mut self,
+        ctx: &WorkerCtx,
+        report: &mut PoolWorkerReport,
+        prof: &mut Option<WorkerProfiler>,
+    ) -> Round {
+        match self {
+            Intake::Deque { deque, scratch } => deque_round(ctx, deque, scratch, report, prof),
+            Intake::Claim => claim_round(ctx, report, prof),
         }
-        ctx.shared.tel.spans().push(rec);
     }
-    recycle_home(&ctx.shared, chunk);
-}
 
-/// Returns a chunk's sealed slot to its home pool (never full: only R
-/// slots exist per queue; spin defensively anyway).
-fn recycle_home(shared: &Shared, chunk: LiveChunk) {
-    let home = chunk.home();
-    let mut seal = chunk.seal;
-    while let Err(back) = shared.recycle[home].push(seal) {
-        seal = back;
-        std::thread::yield_now();
+    /// End-of-stream: every source is closed and empty. Residual chunks
+    /// in *other* workers' hands are theirs: every worker drains its
+    /// own deque before exiting, and a chunk a peer has claimed is that
+    /// peer's to deliver (or, in in-order mode, to insert and pump —
+    /// the inserting worker always pumps, so no gap survives a natural
+    /// end-of-stream).
+    fn drained(&self, ctx: &WorkerCtx) -> bool {
+        match self {
+            Intake::Deque { deque, .. } => {
+                ctx.members.iter().all(|&q| {
+                    ctx.shared.rings[q]
+                        .iter()
+                        .all(|r| r.is_closed() && r.is_empty())
+                }) && deque.is_empty()
+            }
+            Intake::Claim => {
+                let claims = claims(ctx);
+                ctx.members
+                    .iter()
+                    .all(|&q| claims[q].is_closed() && claims[q].is_empty())
+                    && ctx
+                        .shared
+                        .reorder
+                        .as_deref()
+                        .is_none_or(|ro| ctx.members.iter().all(|&q| ro[q].is_empty()))
+            }
+        }
     }
-    // Wake a capture thread parked on pool exhaustion (backpressure
-    // leaves packets in the NIC ring until a slot comes home).
-    shared.capture_gate.notify();
+
+    /// Forced stop: everything still queued for this worker goes home
+    /// as delivery drops, so slot and packet conservation survive a
+    /// teardown mid-stream.
+    fn stop_drain(&mut self, ctx: &WorkerCtx) {
+        let shared = &ctx.shared;
+        match self {
+            // Its owned queues' rings and its own deque. (Chunks in
+            // other workers' deques are theirs to drain the same way.)
+            Intake::Deque { deque, scratch } => {
+                for &q in &ctx.owned {
+                    while shared.pop_inbound(q, 0, scratch) {}
+                }
+                for chunk in scratch.drain(..) {
+                    shared.drop_undelivered(chunk);
+                }
+                while let Some(chunk) = deque.pop() {
+                    shared.drop_undelivered(chunk);
+                }
+            }
+            // Claim-drain every member queue, then reclaim anything
+            // stranded behind a gap in the reorder buffers. Each worker
+            // runs this sweep *after* its own last insert, so a chunk
+            // it parked behind a gap is reclaimed by its own sweep even
+            // if the other workers swept earlier.
+            Intake::Claim => {
+                let claims = claims(ctx);
+                for &q in &ctx.members {
+                    loop {
+                        match claims[q].try_claim() {
+                            Claim::Claimed(chunk) => shared.drop_undelivered(chunk),
+                            Claim::Contended => std::hint::spin_loop(),
+                            Claim::Empty => break,
+                        }
+                    }
+                }
+                if let Some(ro) = shared.reorder.as_deref() {
+                    for &q in &ctx.members {
+                        for chunk in ro[q].take_stranded() {
+                            shared.drop_undelivered(chunk);
+                        }
+                        shared.tel.queue(q).pool.reorder_occupancy.set(0);
+                    }
+                }
+            }
+        }
+    }
 }
 
-/// Recycles a chunk that will never reach the handler (forced stop),
-/// accounting its packets as delivery drops.
-fn drop_chunk(shared: &Shared, chunk: LiveChunk) {
-    let home = chunk.home();
-    let tel = shared.tel.queue(home);
-    tel.app.recycled_chunks.add(1);
-    tel.cap.delivery_drop_packets.add(chunk.len() as u64);
-    recycle_home(shared, chunk);
+/// The group's claim queues; present whenever a worker has the claim
+/// intake.
+fn claims(ctx: &WorkerCtx) -> &[ClaimQueue<LiveChunk>] {
+    ctx.shared
+        .claims
+        .as_deref()
+        .expect("claim intake without claim queues")
 }
 
-fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerReport {
+/// The one pool worker loop: rounds over its [`Intake`] until a forced
+/// stop or end-of-stream, idling on the delivery gate between empty
+/// rounds.
+fn worker_loop(ctx: WorkerCtx, mut intake: Intake) -> PoolWorkerReport {
     if let Some(core) = ctx.pin_core {
         pin_to_core(core);
     }
@@ -912,166 +992,38 @@ fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerRe
         ..Default::default()
     };
     let mut poller = AdaptivePoller::from_config(&ctx.cfg);
-    let mut scratch: Vec<LiveChunk> = Vec::new();
-    let producers = ctx.shared.rings.len();
-    // The gauge shard this worker publishes its deque occupancy to.
-    let primary = ctx.owned.first().copied();
-    let mut prof = profiler_for(&ctx);
+    let mut prof = (ctx.cfg.span_sample_n > 0)
+        .then(|| WorkerProfiler::new(ctx.shared.tel.register_worker(ctx.worker as u32)));
     loop {
-        // Forced stop preempts further processing: everything still
-        // queued for this worker — its owned queues' rings and its own
-        // deque — goes home as delivery drops, so slot and packet
-        // conservation survive a teardown mid-stream. (Chunks in other
-        // workers' deques are theirs to drain the same way.)
+        // Forced stop preempts further processing.
         if ctx.stop.load(Ordering::SeqCst) {
-            for &q in &ctx.owned {
-                for p in 0..producers {
-                    while ctx.shared.rings[q][p].pop_batch(&mut scratch, MAX_BATCH) > 0 {}
-                }
-            }
-            for chunk in scratch.drain(..) {
-                drop_chunk(&ctx.shared, chunk);
-            }
-            while let Some(chunk) = deque.pop() {
-                drop_chunk(&ctx.shared, chunk);
-            }
+            intake.stop_drain(&ctx);
             break;
         }
-
-        let mut progressed = false;
-
-        // 1. Drain owned queues' rings into the local deque.
-        for &q in &ctx.owned {
-            for p in 0..producers {
-                if ctx.shared.rings[q][p].pop_batch(&mut scratch, MAX_BATCH) > 0 {
-                    progressed = true;
-                }
+        let round = intake.round(&ctx, &mut report, &mut prof);
+        match round {
+            Round::Delivered => {
+                poller.reset();
+                continue;
             }
+            // Yield rather than re-contend the same cursor line, but
+            // never park from contention alone.
+            Round::Contended => poller.lost_race(),
+            Round::Idle => {}
         }
-        // The drain is the acquisition start for sampled chunks: from
-        // here until a worker pops them for processing they wait in
-        // the deque (or a thief's hands) — the claim stage. One lazy
-        // clock read covers the whole drained batch.
-        let mut drain_ns = 0u64;
-        for chunk in scratch.iter_mut() {
-            if let Some(span) = chunk.span.as_mut() {
-                if drain_ns == 0 {
-                    drain_ns = clock::mono_ns();
-                }
-                span.acquire_started_ns = drain_ns;
-            }
-        }
-        for chunk in scratch.drain(..) {
-            if let Err(back) = deque.push(chunk) {
-                // Sized to every chunk in existence, so this is
-                // unreachable; process inline rather than lose a chunk.
-                process_chunk(&ctx, &mut report, back, false, 0);
-            }
-        }
-        if let Some(p) = prof.as_mut() {
-            p.charge(WorkerTimeState::Claim);
-        }
-        if let Some(pq) = primary {
-            ctx.shared
-                .tel
-                .queue(pq)
-                .pool
-                .steal_queue_len
-                .set(deque.len() as u64);
-        }
-
-        // 2. Process a bounded burst from the local deque, oldest
-        // first: the owner takes through its own stealer, exactly as a
-        // thief would, so no chunk waits behind later arrivals (an
-        // owner popping newest-first starves the oldest chunks for as
-        // long as the backlog lasts). One lazy clock read stamps the
-        // delivery moment for the whole burst.
-        let own = &ctx.stealers[ctx.worker];
-        let mut burst_ns = 0u64;
-        for _ in 0..PROCESS_BURST {
-            let chunk = loop {
-                match own.steal() {
-                    Steal::Success(chunk) => break Some(chunk),
-                    Steal::Retry => continue,
-                    Steal::Empty => break None,
-                }
-            };
-            let Some(chunk) = chunk else { break };
-            if burst_ns == 0 {
-                burst_ns = clock::mono_ns();
-            }
-            process_chunk(&ctx, &mut report, chunk, false, burst_ns);
-            progressed = true;
-        }
-        if let Some(p) = prof.as_mut() {
-            p.charge(WorkerTimeState::Deliver);
-        }
-
-        // 3. Own queues quiet: steal the oldest chunk from a busy
-        // worker — delivery-side rebalancing before the capture queue
-        // ever climbs toward the offload threshold.
-        if !progressed {
-            for i in 1..ctx.stealers.len() {
-                let victim = (ctx.worker + i) % ctx.stealers.len();
-                match ctx.stealers[victim].steal() {
-                    Steal::Success(chunk) => {
-                        let pool_tel = &ctx.shared.tel.queue(chunk.home()).pool;
-                        pool_tel.steal_out_chunks.inc();
-                        pool_tel.stolen_packets.add(chunk.len() as u64);
-                        if let Some(pq) = primary {
-                            ctx.shared.tel.queue(pq).pool.steal_in_chunks.inc();
-                        } else {
-                            // Queue-less workers attribute steal_in to
-                            // the victim chunk's home so Σin == Σout
-                            // still holds engine-wide.
-                            ctx.shared
-                                .tel
-                                .queue(chunk.home())
-                                .pool
-                                .steal_in_chunks
-                                .inc();
-                        }
-                        report.stolen_chunks += 1;
-                        process_chunk(&ctx, &mut report, chunk, true, 0);
-                        progressed = true;
-                        break;
-                    }
-                    Steal::Retry => {
-                        // Contention means work exists; stay hot.
-                        progressed = true;
-                        break;
-                    }
-                    Steal::Empty => continue,
-                }
-            }
-            if let Some(p) = prof.as_mut() {
-                p.charge(WorkerTimeState::Steal);
-            }
-        }
-
-        if progressed {
-            poller.reset();
-            continue;
-        }
-
         // Take the gate ticket *before* the final end-of-stream check:
         // any chunk published (or ring closed) after this point turns
         // the park into an immediate return.
         let ticket = ctx.shared.delivery_gate.ticket();
-        let drained = ctx.members.iter().all(|&q| {
-            (0..producers).all(|p| {
-                let r = &ctx.shared.rings[q][p];
-                r.is_closed() && r.is_empty()
-            })
-        });
-        if drained && deque.is_empty() {
-            // Residual chunks in *other* workers' deques are theirs:
-            // every worker drains its own deque before exiting.
+        if round == Round::Idle && intake.drained(&ctx) {
             break;
         }
         let step = poller.idle(&ctx.shared.delivery_gate, ticket);
         if let Some(p) = prof.as_mut() {
-            p.charge_idle(step);
+            p.charge(match step {
+                IdleStep::Yielded => WorkerTimeState::Yield,
+                IdleStep::Parked => WorkerTimeState::Park,
+            });
         }
         if step == IdleStep::Parked {
             report.parks += 1;
@@ -1083,135 +1035,185 @@ fn worker_loop(ctx: WorkerCtx, mut deque: DequeOwner<LiveChunk>) -> PoolWorkerRe
             }
         }
     }
-    if let Some(pq) = primary {
+    if let Some(&pq) = ctx.owned.first() {
         ctx.shared.tel.queue(pq).pool.steal_queue_len.set(0);
     }
     report
 }
 
-/// COREC-style worker loop: every worker claims sealed chunks straight
-/// off the group's shared [`ClaimQueue`]s, so N workers drain even a
-/// single hot queue concurrently. No deques and no stealing — the
-/// claim CAS *is* the load balancer — so `Σ steal_in == Σ steal_out ==
-/// 0` holds trivially in this mode.
-fn concurrent_worker_loop(ctx: WorkerCtx) -> PoolWorkerReport {
-    if let Some(core) = ctx.pin_core {
-        pin_to_core(core);
+/// One deque round: drain the owned queues' rings into the deque,
+/// serve a burst from it, and steal from a peer when that found
+/// nothing.
+fn deque_round(
+    ctx: &WorkerCtx,
+    deque: &mut DequeOwner<LiveChunk>,
+    scratch: &mut Vec<LiveChunk>,
+    report: &mut PoolWorkerReport,
+    prof: &mut Option<WorkerProfiler>,
+) -> Round {
+    // The shard this worker publishes its deque occupancy and steals to.
+    let primary = ctx.owned.first().map(|&pq| &ctx.shared.tel.queue(pq).pool);
+    let mut progressed = false;
+
+    // 1. Drain owned queues' rings into the local deque.
+    for &q in &ctx.owned {
+        progressed |= ctx.shared.pop_inbound(q, 0, scratch);
     }
-    let mut report = PoolWorkerReport {
-        worker: ctx.worker,
-        ..Default::default()
-    };
-    let mut poller = AdaptivePoller::from_config(&ctx.cfg);
-    let claims = ctx
-        .shared
-        .claims
-        .as_deref()
-        .expect("concurrent worker loop without claim queues");
+    // The drain is the acquisition start for sampled chunks: from
+    // here until a worker pops them for processing they wait in the
+    // deque (or a thief's hands) — the claim stage. One lazy clock read
+    // covers the whole drained batch.
+    let mut drain_ns = 0u64;
+    for chunk in scratch.iter_mut() {
+        if let Some(span) = chunk.span.as_mut() {
+            if drain_ns == 0 {
+                drain_ns = clock::mono_ns();
+            }
+            span.acquire_started_ns = drain_ns;
+        }
+    }
+    for chunk in scratch.drain(..) {
+        if let Err(back) = deque.push(chunk) {
+            // Sized to every chunk in existence, so this is
+            // unreachable; process inline rather than lose a chunk.
+            process_chunk(ctx, report, back, false, 0);
+        }
+    }
+    if let Some(p) = prof.as_mut() {
+        p.charge(WorkerTimeState::Claim);
+    }
+    if let Some(pool_tel) = primary {
+        pool_tel.steal_queue_len.set(deque.len() as u64);
+    }
+
+    // 2. Process a bounded burst from the local deque, oldest first:
+    // the owner takes through its own stealer, exactly as a thief
+    // would, so no chunk waits behind later arrivals (an owner popping
+    // newest-first starves the oldest chunks for as long as the backlog
+    // lasts). One lazy clock read stamps the delivery moment for the
+    // whole burst.
+    let own = &ctx.stealers[ctx.worker];
+    let mut burst_ns = 0u64;
+    for _ in 0..PROCESS_BURST {
+        let chunk = loop {
+            match own.steal() {
+                Steal::Success(chunk) => break Some(chunk),
+                Steal::Retry => continue,
+                Steal::Empty => break None,
+            }
+        };
+        let Some(chunk) = chunk else { break };
+        if burst_ns == 0 {
+            burst_ns = clock::mono_ns();
+        }
+        process_chunk(ctx, report, chunk, false, burst_ns);
+        progressed = true;
+    }
+    if let Some(p) = prof.as_mut() {
+        p.charge(WorkerTimeState::Deliver);
+    }
+
+    // 3. Own queues quiet: steal the oldest chunk from a busy worker —
+    // delivery-side rebalancing before the capture queue ever climbs
+    // toward the offload threshold.
+    if !progressed {
+        for i in 1..ctx.stealers.len() {
+            let victim = (ctx.worker + i) % ctx.stealers.len();
+            match ctx.stealers[victim].steal() {
+                Steal::Success(chunk) => {
+                    let pool_tel = &ctx.shared.tel.queue(chunk.home()).pool;
+                    pool_tel.steal_out_chunks.inc();
+                    pool_tel.stolen_packets.add(chunk.len() as u64);
+                    // Queue-less workers attribute steal_in to the
+                    // victim chunk's home so Σin == Σout still holds
+                    // engine-wide.
+                    primary.unwrap_or(pool_tel).steal_in_chunks.inc();
+                    report.stolen_chunks += 1;
+                    process_chunk(ctx, report, chunk, true, 0);
+                    progressed = true;
+                    break;
+                }
+                Steal::Retry => {
+                    // Contention means work exists; stay hot.
+                    progressed = true;
+                    break;
+                }
+                Steal::Empty => continue,
+            }
+        }
+        if let Some(p) = prof.as_mut() {
+            p.charge(WorkerTimeState::Steal);
+        }
+    }
+
+    if progressed {
+        Round::Delivered
+    } else {
+        Round::Idle
+    }
+}
+
+/// One claim round: a claim scan over every member queue, delivering
+/// each claimed chunk inline.
+fn claim_round(
+    ctx: &WorkerCtx,
+    report: &mut PoolWorkerReport,
+    prof: &mut Option<WorkerProfiler>,
+) -> Round {
+    let claims = claims(ctx);
     let reorder = ctx.shared.reorder.as_deref();
     let members = ctx.members.len();
-    let mut prof = profiler_for(&ctx);
-    loop {
-        // Forced stop: drain every member claim queue home as delivery
-        // drops, then sweep the reorder buffers for stranded chunks.
-        // Each worker runs this sweep *after* its own last insert, so a
-        // chunk it parked behind a gap is reclaimed by its own sweep
-        // even if the other workers swept earlier.
-        if ctx.stop.load(Ordering::SeqCst) {
-            stop_drain_concurrent(&ctx, claims, reorder);
-            break;
-        }
-
-        let mut claimed = false;
-        let mut contended = false;
-        for i in 0..members {
-            // Rotate the scan start per worker so N workers don't all
-            // hammer the same queue's claim cursor first.
-            let q = ctx.members[(ctx.worker + i) % members];
-            // Delivery stamp shared by the whole burst (lazy: no clock
-            // read on an empty scan), as in `worker_loop`'s burst.
-            let mut burst_ns = 0u64;
-            for _ in 0..PROCESS_BURST {
-                match claims[q].try_claim() {
-                    Claim::Claimed(mut chunk) => {
-                        claimed = true;
-                        if burst_ns == 0 {
-                            burst_ns = clock::mono_ns();
-                        }
-                        // The winning CAS is the whole acquisition in
-                        // concurrent mode (the claim stage is the CAS
-                        // itself); reorder-buffer dwell then lands in
-                        // the reorder stage.
-                        if let Some(span) = chunk.span.as_mut() {
-                            span.acquire_started_ns = burst_ns;
-                            span.acquired_ns = burst_ns;
-                        }
-                        deliver_claimed(&ctx, &mut report, reorder, chunk, burst_ns);
+    let mut claimed = false;
+    let mut contended = false;
+    for i in 0..members {
+        // Rotate the scan start per worker so N workers don't all
+        // hammer the same queue's claim cursor first.
+        let q = ctx.members[(ctx.worker + i) % members];
+        // Delivery stamp shared by the whole burst (lazy: no clock read
+        // on an empty scan), as in the deque round's burst.
+        let mut burst_ns = 0u64;
+        for _ in 0..PROCESS_BURST {
+            match claims[q].try_claim() {
+                Claim::Claimed(mut chunk) => {
+                    claimed = true;
+                    if burst_ns == 0 {
+                        burst_ns = clock::mono_ns();
                     }
-                    Claim::Contended => {
-                        ctx.shared.tel.queue(q).pool.claim_contention.inc();
-                        contended = true;
-                        break;
+                    // The winning CAS is the whole acquisition with
+                    // this intake (the claim stage is the CAS itself);
+                    // reorder-buffer dwell then lands in the reorder
+                    // stage.
+                    if let Some(span) = chunk.span.as_mut() {
+                        span.acquire_started_ns = burst_ns;
+                        span.acquired_ns = burst_ns;
                     }
-                    Claim::Empty => break,
+                    deliver_claimed(ctx, report, reorder, chunk, burst_ns);
                 }
-            }
-        }
-        if let Some(p) = prof.as_mut() {
-            // The claim scan delivers inline, so a round that claimed
-            // anything is deliver time; an empty round is claim time.
-            p.charge(if claimed {
-                WorkerTimeState::Deliver
-            } else {
-                WorkerTimeState::Claim
-            });
-        }
-        if claimed {
-            poller.reset();
-            continue;
-        }
-        if contended {
-            // Lost the claim race only: work exists and a peer has it.
-            // Yield rather than re-contend the same cursor line, but
-            // never park from contention alone.
-            poller.lost_race();
-            let ticket = ctx.shared.delivery_gate.ticket();
-            let step = poller.idle(&ctx.shared.delivery_gate, ticket);
-            if let Some(p) = prof.as_mut() {
-                p.charge_idle(step);
-            }
-            continue;
-        }
-
-        // Ticket before the end-of-stream check, as in worker_loop: a
-        // publish after this point turns the park into a no-op.
-        let ticket = ctx.shared.delivery_gate.ticket();
-        let drained = ctx
-            .members
-            .iter()
-            .all(|&q| claims[q].is_closed() && claims[q].is_empty())
-            && reorder.is_none_or(|ro| ctx.members.iter().all(|&q| ro[q].is_empty()));
-        if drained {
-            // Any chunk a peer has claimed but not yet delivered is
-            // that peer's to deliver (or, in in-order mode, to insert
-            // and pump — the inserting worker always pumps, so no gap
-            // survives a natural end-of-stream).
-            break;
-        }
-        let step = poller.idle(&ctx.shared.delivery_gate, ticket);
-        if let Some(p) = prof.as_mut() {
-            p.charge_idle(step);
-        }
-        if step == IdleStep::Parked {
-            report.parks += 1;
-            // As in `worker_loop`: every owned queue's shard counts
-            // the park, not just the first one.
-            for &q in &ctx.owned {
-                ctx.shared.tel.queue(q).pool.worker_parks.inc();
+                Claim::Contended => {
+                    ctx.shared.tel.queue(q).pool.claim_contention.inc();
+                    contended = true;
+                    break;
+                }
+                Claim::Empty => break,
             }
         }
     }
-    report
+    if let Some(p) = prof.as_mut() {
+        // The claim scan delivers inline, so a round that claimed
+        // anything is deliver time; an empty round is claim time.
+        p.charge(if claimed {
+            WorkerTimeState::Deliver
+        } else {
+            WorkerTimeState::Claim
+        });
+    }
+    if claimed {
+        Round::Delivered
+    } else if contended {
+        Round::Contended
+    } else {
+        Round::Idle
+    }
 }
 
 /// Delivers one claimed chunk: straight to the handler in unordered
@@ -1231,7 +1233,7 @@ fn deliver_claimed(
     // reorder buffer — ordering is void during teardown, and the stop
     // sweep may already have passed this buffer.
     if ctx.stop.load(Ordering::SeqCst) {
-        drop_chunk(&ctx.shared, chunk);
+        ctx.shared.drop_undelivered(chunk);
         return;
     }
     let buf = &ro[chunk.home()];
@@ -1248,33 +1250,6 @@ fn deliver_claimed(
         // Wake peers whose end-of-stream check waits on the reorder
         // buffers draining.
         ctx.shared.delivery_gate.notify();
-    }
-}
-
-/// Forced-stop sweep for concurrent mode: claim-drain every member
-/// queue, then reclaim anything stranded behind a gap in the reorder
-/// buffers. Everything goes home as a delivery drop.
-fn stop_drain_concurrent(
-    ctx: &WorkerCtx,
-    claims: &[ClaimQueue<LiveChunk>],
-    reorder: Option<&[ReorderBuffer<LiveChunk>]>,
-) {
-    for &q in &ctx.members {
-        loop {
-            match claims[q].try_claim() {
-                Claim::Claimed(chunk) => drop_chunk(&ctx.shared, chunk),
-                Claim::Contended => std::hint::spin_loop(),
-                Claim::Empty => break,
-            }
-        }
-    }
-    if let Some(ro) = reorder {
-        for &q in &ctx.members {
-            for chunk in ro[q].take_stranded() {
-                drop_chunk(&ctx.shared, chunk);
-            }
-            ctx.shared.tel.queue(q).pool.reorder_occupancy.set(0);
-        }
     }
 }
 

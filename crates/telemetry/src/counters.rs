@@ -78,12 +78,16 @@ impl<T> std::ops::DerefMut for CacheAligned<T> {
     }
 }
 
-/// Counters written only by the queue's capture thread.
+/// Counters of the queue's capture side, keyed by the queue that
+/// captured the packets.
 ///
-/// Single-writer by construction, so updates use the load+store
-/// [`Counter::add_local`] path and the histograms' single-writer
-/// [`Log2Histogram::record`] — no lock-prefixed instructions anywhere
-/// on the capture hot path.
+/// Every field but one is written only by the queue's capture thread,
+/// so those updates use the load+store [`Counter::add_local`] path and
+/// the histograms' single-writer [`Log2Histogram::record`] — no
+/// lock-prefixed instructions anywhere on the capture hot path. The
+/// exception is `delivery_drop_packets`: any consumer or pool worker
+/// holding one of this queue's chunks may charge it, so it is
+/// multi-writer and takes [`Counter::add`], never `add_local`.
 #[derive(Debug, Default)]
 pub struct CaptureSide {
     /// Packets the engine attempted to capture (seen on the ring).
@@ -92,8 +96,10 @@ pub struct CaptureSide {
     pub captured_packets: Counter,
     /// Packets lost on the capture side (pool or capture queue full).
     pub capture_drop_packets: Counter,
-    /// Captured packets discarded before delivery (e.g. chunk rejected
-    /// by a full buddy capture queue).
+    /// Captured packets that never reached an application (a consumer
+    /// departing with chunks in hand, a forced pool stop, a chunk the
+    /// simulation engine's bounded capture queue rejected). Multi-writer:
+    /// charged to the chunk's home queue by whichever thread holds it.
     pub delivery_drop_packets: Counter,
     /// Chunks sealed and handed toward user space (full or partial).
     pub sealed_chunks: Counter,

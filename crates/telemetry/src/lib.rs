@@ -23,8 +23,8 @@
 //! * [`QueueTelemetry`] / [`EngineSnapshot`] — the one snapshot schema
 //!   every engine (live, simulated, and the baseline models) returns
 //!   from `CaptureEngine::telemetry(q)`, serializable to JSON and
-//!   Prometheus text exposition, dumpable on `SIGUSR1` or shutdown
-//!   (see [`dump`]).
+//!   Prometheus text exposition, served live by the [`scrape`]
+//!   endpoint and frozen into [`flight`] records on anomalies.
 //!
 //! The naming scheme (the single drop-accounting vocabulary, DESIGN.md
 //! §4.8): packet counters end in `_packets`, chunk counters in
@@ -40,7 +40,6 @@
 pub mod anomaly;
 pub mod clock;
 pub mod counters;
-pub mod dump;
 pub mod flight;
 pub mod hist;
 pub mod pipeline;

@@ -9,13 +9,6 @@
 //! [`crate::flight::FlightRecord`] (time-series window + rates +
 //! event-tracer ring + full snapshot) to disk.
 //!
-//! The sampler also services [`crate::dump`] requests: the `SIGUSR1`
-//! handler only sets an atomic flag (async-signal-safe); this thread
-//! polls [`crate::dump::take_dump_request`] every tick and performs
-//! the rendering and I/O here, off both the signal context and the
-//! capture hot path — and unlike the engine-loop fallback poll, it
-//! fires even while capture threads are saturated.
-//!
 //! Everything the sampler does is reader-side: engines pay nothing for
 //! being observed beyond the relaxed counter loads a snapshot already
 //! costs.
@@ -27,7 +20,6 @@ use crate::snapshot::EngineSnapshot;
 use crate::spans::SpanRecord;
 use crate::timeseries::{rates_between, Rates, SeriesSample, TimeSeriesRing};
 use crate::trace::TraceEvent;
-use crate::{dump, timeseries};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -90,7 +82,6 @@ pub struct SamplerCore {
     ring: Mutex<TimeSeriesRing>,
     samples: AtomicU64,
     anomalies: AtomicU64,
-    dumps_served: AtomicU64,
     flights: Mutex<Vec<PathBuf>>,
 }
 
@@ -100,7 +91,6 @@ impl SamplerCore {
             ring: Mutex::new(TimeSeriesRing::with_capacity(capacity)),
             samples: AtomicU64::new(0),
             anomalies: AtomicU64::new(0),
-            dumps_served: AtomicU64::new(0),
             flights: Mutex::new(Vec::new()),
         }
     }
@@ -131,11 +121,6 @@ impl SamplerCore {
     /// Anomalies fired so far (episodes, not violating samples).
     pub fn anomalies(&self) -> u64 {
         self.anomalies.load(Ordering::Relaxed)
-    }
-
-    /// SIGUSR1/on-demand dumps this sampler has serviced.
-    pub fn dumps_served(&self) -> u64 {
-        self.dumps_served.load(Ordering::Relaxed)
     }
 
     /// Flight-record files written so far.
@@ -172,15 +157,10 @@ impl SamplerState {
     }
 
     /// Takes one sample: snapshot → series push → rates → anomaly
-    /// check → flight record. Also services pending dump requests.
-    /// Called from the sampler thread every interval, or directly by
-    /// tests.
+    /// check → flight record. Called from the sampler thread every
+    /// interval, or directly by tests.
     pub fn tick(&mut self) {
         let snap = self.observer.snapshot();
-        if dump::take_dump_request() {
-            dump::dump_snapshot(&snap);
-            self.core.dumps_served.fetch_add(1, Ordering::Relaxed);
-        }
         let ts_ns = clock::mono_ns();
         let sample = SeriesSample::from_snapshot(ts_ns, &snap);
         let rates = {
@@ -206,7 +186,7 @@ impl SamplerState {
         };
         let rates_window = series
             .windows(2)
-            .filter_map(|p| timeseries::rates_between(&p[0], &p[1]))
+            .filter_map(|p| rates_between(&p[0], &p[1]))
             .collect();
         let record = FlightRecord {
             engine: snap.engine.clone(),
@@ -445,34 +425,6 @@ mod tests {
         assert_eq!(record.spans.len(), 1, "span ring frozen into record");
         assert_eq!(record.spans[0].seq, 11);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sampler_services_dump_requests_from_the_flag() {
-        // The SIGUSR1 handler only sets the atomic flag; the sampler
-        // polls it and performs all I/O on its own thread. With no
-        // WIRECAP_TELEMETRY_DUMP target configured the dump is a no-op
-        // write, but the request must still be consumed and counted.
-        let _guard = dump::TEST_FLAG_LOCK.lock().unwrap();
-        let cfg = SamplerConfig {
-            anomaly: None,
-            ..Default::default()
-        };
-        let mut st = SamplerState::new(
-            Arc::new(FakeEngine {
-                calls: AtomicU64::new(0),
-                drop_from: u64::MAX,
-            }),
-            cfg,
-        );
-        st.tick();
-        assert_eq!(st.core().dumps_served(), 0);
-        dump::request_dump();
-        st.tick();
-        assert_eq!(st.core().dumps_served(), 1, "flag polled and consumed");
-        assert!(!dump::dump_requested(), "request consumed exactly once");
-        st.tick();
-        assert_eq!(st.core().dumps_served(), 1);
     }
 
     #[test]

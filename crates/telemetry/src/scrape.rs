@@ -3,8 +3,8 @@
 //!
 //! Serves a running engine without stopping it:
 //!
-//! * `GET /metrics` — Prometheus text exposition (the same encoder as
-//!   the dump hook, [`crate::EngineSnapshot::to_prometheus`]);
+//! * `GET /metrics` — Prometheus text exposition
+//!   ([`crate::EngineSnapshot::to_prometheus`]);
 //! * `GET /snapshot.json` — the unified snapshot JSON;
 //! * `GET /series.json` — the sampler's time-series window and derived
 //!   rates (`404` when no sampler is attached);

@@ -4,7 +4,8 @@
 //! and figure binaries, and the documentation cites those by name. Two
 //! checks keep that vocabulary honest: no current source or document
 //! still mentions a retired name (the bench, its artifact, the poller's
-//! deleted spin stage and its knob, the deleted pool-tuning layer), and
+//! deleted spin stage and its knob, the deleted pool-tuning layer, the
+//! merged pool loop, the deleted snapshot dump and its variables), and
 //! every name the EXPERIMENTS.md disposition table sends a reader to
 //! exists.
 
@@ -65,6 +66,13 @@ fn nothing_current_cites_a_retired_name() {
         concat!("Tuning", "Mode"),
         concat!("Tuning", "Plan"),
         concat!("tuning_", "plan"),
+        // The pool's second worker loop, merged into the one loop.
+        concat!("concurrent_", "worker_loop"),
+        // The deleted SIGUSR1 / shutdown snapshot dump and its variables.
+        concat!("WIRECAP_TELEMETRY_", "DUMP"),
+        concat!("WIRECAP_TELEMETRY_", "FORMAT"),
+        concat!("take_", "dump_request"),
+        concat!("install_", "sigusr1"),
     ];
     let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].map(|f| repo().join(f));
 

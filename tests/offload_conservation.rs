@@ -11,16 +11,20 @@
 //! accounting conserved:
 //!
 //! * Σ `offloaded_out_chunks` == Σ `offloaded_in_chunks`,
-//! * Σ `delivered_packets` + Σ `delivery_drop_packets` ==
-//!   Σ `captured_packets` (every packet that entered a chunk either
+//! * per home queue, `delivered_packets` + `delivery_drop_packets` ==
+//!   `captured_packets` (every packet that entered a chunk either
 //!   reached an application or is explicitly counted as stranded by a
-//!   departing consumer),
-//! * Σ `recycled_chunks` == Σ `sealed_chunks` (every slot came home).
+//!   departing consumer — on the queue that captured it, even when the
+//!   chunk was offloaded),
+//! * per home queue, `recycled_chunks` == `sealed_chunks` (every slot
+//!   came home).
 //!
 //! The audit found — and `LiveConsumer::drop` now fixes — a real leak
 //! here: a consumer dropped mid-run used to strand the chunks already
 //! popped into its private inbox, permanently bleeding pool slots and
-//! breaking all three equalities.
+//! breaking all three equalities. A later audit found such a consumer
+//! charging the stranded packets to its own queue rather than to their
+//! home, which balanced the sums but not each queue's ledger.
 //!
 //! The proptest drives randomized early-consumer-shutdown
 //! interleavings: a single flow concentrates all traffic on one queue
@@ -57,17 +61,28 @@ const M: usize = 32;
 const R: usize = 40;
 const SEGMENTS: usize = 1024 / M;
 
+/// How the offload target's first consumer leaves mid-run.
+#[derive(Debug, Clone, Copy)]
+enum EarlyExit {
+    /// After taking and recycling at most this many chunks.
+    After(usize),
+    /// Holding chunks: once at least two offloaded chunks wait on its
+    /// rings, one `try_chunk` pops them all into its inbox, it recycles
+    /// that one, and it drops with the rest undelivered.
+    Holding,
+}
+
 /// One randomized run: `total` packets of a single flow, the offload
-/// target's consumer exiting after `early_chunks` chunks, and the home
-/// queue's consumer slowed by `busy_sleep_us` per chunk (backlog
-/// pressure that makes offloading fire). `r` is the pool size in
-/// chunks (`SEGMENTS + 1 ..= R`): offloading and the stranded-chunk
-/// rescue must conserve with a shrunk pool just as with the default.
-/// Returns the final snapshot.
+/// target's consumer exiting as `early` says, and the home queue's
+/// consumer slowed by `busy_sleep_us` per chunk (backlog pressure that
+/// makes offloading fire). `r` is the pool size in chunks
+/// (`SEGMENTS + 1 ..= R`): offloading and the stranded-chunk rescue
+/// must conserve with a shrunk pool just as with the default. Returns
+/// the final snapshot.
 fn run_interleaving(
     backend: Arc<dyn LoopbackBackend>,
     total: u64,
-    early_chunks: usize,
+    early: EarlyExit,
     busy_sleep_us: u64,
     r: usize,
 ) -> EngineSnapshot {
@@ -112,17 +127,34 @@ fn run_interleaving(
         })
     };
 
-    // The early-exit consumer on the offload target: takes at most
-    // `early_chunks` chunks, recycles them, then drops mid-run —
-    // stranding whatever lands on the target's rings afterwards.
+    // The early-exit consumer on the offload target drops mid-run —
+    // stranding whatever lands on the target's rings afterwards, and
+    // in `Holding` mode whatever it popped but never recycled.
     let early_thread = {
         let mut c = engine.consumer(target);
-        std::thread::spawn(move || {
-            for _ in 0..early_chunks {
-                match c.next_chunk() {
-                    Some(chunk) => c.recycle(chunk),
-                    None => break,
+        let observer = engine.observer();
+        std::thread::spawn(move || match early {
+            EarlyExit::After(chunks) => {
+                for _ in 0..chunks {
+                    match c.next_chunk() {
+                        Some(chunk) => c.recycle(chunk),
+                        None => break,
+                    }
                 }
+            }
+            EarlyExit::Holding => {
+                // The target gets no traffic of its own: everything on
+                // its rings was offloaded by the busy queue.
+                let deadline = std::time::Instant::now() + Duration::from_secs(20);
+                while observer.snapshot().queues[target].capture_queue_len < 2 {
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "two offloaded chunks never queued on the target"
+                    );
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                let chunk = c.try_chunk().expect("offloaded chunks are queued");
+                c.recycle(chunk);
             }
         })
     };
@@ -170,17 +202,23 @@ fn assert_conserved(snap: &EngineSnapshot, total: u64) {
     let out: u64 = snap.queues.iter().map(|q| q.offloaded_out_chunks).sum();
     let inn: u64 = snap.queues.iter().map(|q| q.offloaded_in_chunks).sum();
     assert_eq!(out, inn, "offload out/in drifted: {snap:?}");
+    // Both ledgers balance per home queue, not only in sum: an
+    // offloaded chunk's packets and slot stay on the queue that
+    // captured them, whoever delivers, drops or recycles it.
+    for q in &snap.queues {
+        assert_eq!(
+            q.delivered_packets + q.delivery_drop_packets,
+            q.captured_packets,
+            "queue {}: packets lost between capture and delivery: {snap:?}",
+            q.queue
+        );
+        assert_eq!(
+            q.recycled_chunks, q.sealed_chunks,
+            "queue {}: chunk slots leaked: {snap:?}",
+            q.queue
+        );
+    }
     let captured: u64 = snap.queues.iter().map(|q| q.captured_packets).sum();
-    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
-    let delivery_dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
-    assert_eq!(
-        delivered + delivery_dropped,
-        captured,
-        "packets lost between capture and delivery: {snap:?}"
-    );
-    let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
-    let recycled: u64 = snap.queues.iter().map(|q| q.recycled_chunks).sum();
-    assert_eq!(recycled, sealed, "chunk slots leaked: {snap:?}");
     let dropped: u64 = snap.queues.iter().map(|q| q.capture_drop_packets).sum();
     assert_eq!(
         captured + dropped,
@@ -204,7 +242,13 @@ proptest! {
         r in SEGMENTS + 1..=R,
     ) {
         for backend in backends() {
-            let snap = run_interleaving(backend, total, early_chunks, busy_sleep_us, r);
+            let snap = run_interleaving(
+                backend,
+                total,
+                EarlyExit::After(early_chunks),
+                busy_sleep_us,
+                r,
+            );
             assert_conserved(&snap, total);
         }
     }
@@ -218,12 +262,29 @@ proptest! {
 fn offloads_fire_and_survive_target_consumer_exit() {
     for backend in backends() {
         let name = backend.name();
-        let snap = run_interleaving(backend, 6_000, 2, 300, R);
+        let snap = run_interleaving(backend, 6_000, EarlyExit::After(2), 300, R);
         assert_conserved(&snap, 6_000);
         let out: u64 = snap.queues.iter().map(|q| q.offloaded_out_chunks).sum();
         assert!(
             out > 0,
             "{name}: scenario failed to trigger offloading: {snap:?}"
+        );
+    }
+}
+
+/// A consumer that exits holding offloaded chunks charges their packets
+/// to the queue that captured them, so the per-queue ledger in
+/// [`assert_conserved`] balances on both queues.
+#[test]
+fn early_exit_drops_are_charged_to_the_home_queue() {
+    for backend in backends() {
+        let name = backend.name();
+        let snap = run_interleaving(backend, 6_000, EarlyExit::Holding, 300, R);
+        assert_conserved(&snap, 6_000);
+        let dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
+        assert!(
+            dropped > 0,
+            "{name}: the consumer must exit holding undelivered chunks: {snap:?}"
         );
     }
 }

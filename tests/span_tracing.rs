@@ -14,22 +14,40 @@
 //! * **Worker parks** — `QueueCounters::worker_parks` counts parks of
 //!   *every* worker servicing the queue: a one-worker pool that owns
 //!   two idle queues must account its parks to both.
+//!
+//! The first two run over every delivery path — a per-queue consumer
+//! and a pool with either intake — since each retires spans through
+//! the same shared step.
 
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use wirecap::buddy::BuddyGroups;
+use wirecap::buddy::{BuddyGroup, BuddyGroups};
 use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::WireCapConfig;
 
-/// Run a per-queue consumer over `total` packets with 1-in-`sample_n`
-/// span sampling; return (completed spans, engine snapshot).
+/// Who takes the chunks off the queue: a `LiveConsumer`, or a
+/// one-worker pool with the deque or the claim (`concurrent_queue`)
+/// intake. The one worker owns the queue, so every delivery lands in
+/// the queue's latency and stage shards.
+#[derive(Debug, Clone, Copy)]
+enum Delivery {
+    PerQueue,
+    DequePool,
+    ClaimPool,
+}
+
+const DELIVERIES: [Delivery; 3] = [Delivery::PerQueue, Delivery::DequePool, Delivery::ClaimPool];
+
+/// Run `delivery` over `total` packets with 1-in-`sample_n` span
+/// sampling; return (completed spans, engine snapshot).
 fn run_sampled(
     total: u64,
     sample_n: u32,
     cells: usize,
+    delivery: Delivery,
 ) -> (Vec<telemetry::SpanRecord>, telemetry::EngineSnapshot) {
     let nic = LiveNic::new(1, 8192);
     let cfg = WireCapConfig::builder()
@@ -38,6 +56,7 @@ fn run_sampled(
         .chunks(2 * (1024 / cells))
         .capture_timeout_ns(1_000_000)
         .span_sample_n(sample_n)
+        .concurrent_queue(matches!(delivery, Delivery::ClaimPool))
         .build()
         .unwrap();
     let engine = LiveWireCap::builder()
@@ -46,7 +65,7 @@ fn run_sampled(
         .groups(BuddyGroups::isolated(1))
         .start();
 
-    let consumer = {
+    let consumer = if let Delivery::PerQueue = delivery {
         let mut c = engine.consumer(0);
         std::thread::spawn(move || {
             let mut n = 0u64;
@@ -56,6 +75,9 @@ fn run_sampled(
             }
             n
         })
+    } else {
+        let pool = engine.consumer_pool(&BuddyGroup::all(1), 1, |_| {});
+        std::thread::spawn(move || pool.join().iter().map(|r| r.packets).sum())
     };
 
     let mut b = PacketBuilder::new();
@@ -72,7 +94,7 @@ fn run_sampled(
         }
     }
     nic.stop();
-    assert_eq!(consumer.join().unwrap(), total);
+    assert_eq!(consumer.join().unwrap(), total, "{delivery:?}");
 
     let observer = engine.observer();
     let spans = observer.spans();
@@ -100,60 +122,77 @@ fn assert_decomposed(spans: &[telemetry::SpanRecord]) {
 
 #[test]
 fn sampled_spans_decompose_into_stages() {
-    let (spans, snap) = run_sampled(4_000, 1, 32);
-    assert_decomposed(&spans);
-    // Fully sampled: per-stage histograms carry one sample per span
-    // completion, matching the latency histogram count.
-    let total = snap.total();
-    assert_eq!(
-        total.stage_deliver_ns.count, total.latency_ns.count,
-        "sample_n=1 must stage every latency sample"
-    );
-    assert_eq!(
-        total.stage_backend_ns.count, total.latency_ns.count,
-        "backend stage recorded per sampled chunk"
-    );
-}
-
-#[test]
-fn span_count_tracks_sample_rate() {
-    for sample_n in [1u32, 4, 16] {
-        let (spans, snap) = run_sampled(3_000, sample_n, 32);
-        let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
-        // seq starts at 0 and every seq % N == 0 chunk is sampled.
-        let expected = sealed.div_ceil(u64::from(sample_n));
-        let retained = expected.min(telemetry::DEFAULT_SPAN_CAPACITY as u64);
+    for delivery in DELIVERIES {
+        let (spans, snap) = run_sampled(4_000, 1, 32, delivery);
+        assert_decomposed(&spans);
+        // Fully sampled: per-stage histograms carry one sample per span
+        // completion, matching the latency histogram count.
+        let total = snap.total();
         assert_eq!(
-            spans.len() as u64,
-            retained,
-            "1-in-{sample_n}: {} sealed chunks must yield {retained} retained spans, got {}",
-            sealed,
-            spans.len()
+            total.stage_deliver_ns.count, total.latency_ns.count,
+            "{delivery:?}: sample_n=1 must stage every latency sample"
+        );
+        assert_eq!(
+            total.stage_backend_ns.count, total.latency_ns.count,
+            "{delivery:?}: backend stage recorded per sampled chunk"
         );
     }
 }
 
 #[test]
-fn sampling_disabled_emits_no_spans() {
-    let (spans, snap) = run_sampled(1_500, 0, 32);
-    assert!(spans.is_empty(), "span_sample_n=0 must trace nothing");
-    let total = snap.total();
-    assert_eq!(total.stage_deliver_ns.count, 0, "no stage samples when off");
-    assert!(
-        total.latency_ns.count > 0,
-        "plain latency accounting unaffected by sampling being off"
-    );
-    assert!(
-        snap.workers.is_empty(),
-        "worker profiler only runs when span tracing is on"
-    );
+fn span_count_tracks_sample_rate() {
+    for delivery in DELIVERIES {
+        for sample_n in [1u32, 4, 16] {
+            let (spans, snap) = run_sampled(3_000, sample_n, 32, delivery);
+            let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
+            // seq starts at 0 and every seq % N == 0 chunk is sampled.
+            let expected = sealed.div_ceil(u64::from(sample_n));
+            let retained = expected.min(telemetry::DEFAULT_SPAN_CAPACITY as u64);
+            assert_eq!(
+                spans.len() as u64,
+                retained,
+                "{delivery:?}, 1-in-{sample_n}: {} sealed chunks must yield {retained} \
+                 retained spans, got {}",
+                sealed,
+                spans.len()
+            );
+        }
+    }
 }
 
-/// Satellite 6: `worker_parks` counts parks from every worker servicing
-/// the queue. One pool worker owning two queues with no traffic parks
-/// repeatedly — both queues must see those parks, not just the first.
+#[test]
+fn sampling_disabled_emits_no_spans() {
+    for delivery in DELIVERIES {
+        let (spans, snap) = run_sampled(1_500, 0, 32, delivery);
+        assert!(
+            spans.is_empty(),
+            "{delivery:?}: span_sample_n=0 must trace nothing"
+        );
+        let total = snap.total();
+        assert_eq!(total.stage_deliver_ns.count, 0, "no stage samples when off");
+        assert!(
+            total.latency_ns.count > 0,
+            "{delivery:?}: plain latency accounting unaffected by sampling being off"
+        );
+        assert!(
+            snap.workers.is_empty(),
+            "worker profiler only runs when span tracing is on"
+        );
+    }
+}
+
+/// `worker_parks` counts parks from every worker servicing the queue.
+/// One pool worker owning two queues with no traffic parks repeatedly —
+/// both queues must see those parks, not just the first — with either
+/// intake.
 #[test]
 fn worker_parks_accrue_to_every_serviced_queue() {
+    for concurrent_queue in [false, true] {
+        worker_parks_accrue(concurrent_queue);
+    }
+}
+
+fn worker_parks_accrue(concurrent_queue: bool) {
     let queues = 2;
     let nic = LiveNic::new(queues, 1024);
     let cfg = WireCapConfig::builder()
@@ -163,6 +202,7 @@ fn worker_parks_accrue_to_every_serviced_queue() {
         .yield_iters(2)
         .park_timeout_ns(200_000)
         .span_sample_n(8)
+        .concurrent_queue(concurrent_queue)
         .build()
         .unwrap();
     let groups = BuddyGroups::single(queues);
@@ -187,7 +227,8 @@ fn worker_parks_accrue_to_every_serviced_queue() {
     for q in &snap.queues {
         assert!(
             q.worker_parks > 0,
-            "queue {} saw no parks from its (only) worker: {snap:?}",
+            "concurrent_queue={concurrent_queue}: queue {} saw no parks from its \
+             (only) worker: {snap:?}",
             q.queue
         );
     }
@@ -214,9 +255,10 @@ mod proptests {
             total in 500u64..2_500,
             sample_n in 1u32..8,
             cells_idx in 0usize..3,
+            delivery_idx in 0usize..3,
         ) {
             let cells = [16usize, 32, 64][cells_idx];
-            let (spans, snap) = run_sampled(total, sample_n, cells);
+            let (spans, snap) = run_sampled(total, sample_n, cells, DELIVERIES[delivery_idx]);
             assert_decomposed(&spans);
             let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
             let expected = sealed.div_ceil(u64::from(sample_n))

@@ -9,12 +9,13 @@
 //! in one motion), so no interleaving can split them:
 //!
 //! * Σ `steal_in_chunks` == Σ `steal_out_chunks`,
-//! * Σ `delivered_packets` + Σ `delivery_drop_packets` ==
-//!   Σ `captured_packets` (every captured packet reached a handler or
-//!   is explicitly counted as dropped by a forced pool stop),
-//! * Σ `recycled_chunks` == Σ `sealed_chunks` (every slot came home —
-//!   stealing moves handles, never slots, and recycling stays
-//!   home-pool-only).
+//! * per home queue, `delivered_packets` + `delivery_drop_packets` ==
+//!   `captured_packets` (every captured packet reached a handler or is
+//!   explicitly counted as dropped by a forced pool stop, on the queue
+//!   that captured it),
+//! * per home queue, `recycled_chunks` == `sealed_chunks` (every slot
+//!   came home — stealing moves handles, never slots, and recycling
+//!   stays home-pool-only).
 //!
 //! A deterministic two-thread smoke test pins down the raw deque
 //! (tier-1, run by `scripts/check.sh`), a deterministic skewed-traffic
@@ -153,17 +154,23 @@ fn assert_conserved(snap: &EngineSnapshot, total: u64) {
     let steal_out: u64 = snap.queues.iter().map(|q| q.steal_out_chunks).sum();
     let steal_in: u64 = snap.queues.iter().map(|q| q.steal_in_chunks).sum();
     assert_eq!(steal_out, steal_in, "steal out/in drifted: {snap:?}");
+    // Both ledgers balance per home queue, not only in sum: a stolen
+    // chunk's packets and slot stay on the queue that captured them,
+    // whichever worker delivers, drops or recycles it.
+    for q in &snap.queues {
+        assert_eq!(
+            q.delivered_packets + q.delivery_drop_packets,
+            q.captured_packets,
+            "queue {}: packets lost between capture and the pool: {snap:?}",
+            q.queue
+        );
+        assert_eq!(
+            q.recycled_chunks, q.sealed_chunks,
+            "queue {}: chunk slots leaked: {snap:?}",
+            q.queue
+        );
+    }
     let captured: u64 = snap.queues.iter().map(|q| q.captured_packets).sum();
-    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
-    let delivery_dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
-    assert_eq!(
-        delivered + delivery_dropped,
-        captured,
-        "packets lost between capture and the pool: {snap:?}"
-    );
-    let sealed: u64 = snap.queues.iter().map(|q| q.sealed_chunks).sum();
-    let recycled: u64 = snap.queues.iter().map(|q| q.recycled_chunks).sum();
-    assert_eq!(recycled, sealed, "chunk slots leaked: {snap:?}");
     let dropped: u64 = snap.queues.iter().map(|q| q.capture_drop_packets).sum();
     assert_eq!(
         captured + dropped,
