@@ -112,7 +112,10 @@ pub struct PooledReport {
 /// chunks from a hot queue's backlog, so delivery throughput follows
 /// the worker count rather than the flow distribution. Each worker
 /// thread keeps its own [`PktHandler`] (the BPF filter program is
-/// compiled once per worker, not per chunk).
+/// compiled once per worker, not per chunk). With
+/// `cfg.concurrent_queue` set, every worker instead claims chunks off
+/// the same queue's sealed stream, so even traffic pinned to one queue
+/// is drained by all `workers` threads at once (DESIGN.md §4.12).
 pub fn run_pooled(nic: Arc<LiveNic>, cfg: WireCapConfig, x: u32, workers: usize) -> PooledReport {
     let queues = nic.queue_count();
     let cap = LiveWireCap::builder()
@@ -288,48 +291,6 @@ pub fn run_pooled_flows(
     report
 }
 
-/// [`run_concurrent`] with online flow analytics — the concurrent
-/// claim-path variant of [`run_pooled_flows`].
-pub fn run_concurrent_flows(
-    nic: Arc<LiveNic>,
-    cfg: WireCapConfig,
-    x: u32,
-    workers: usize,
-    in_order: bool,
-    flow_cfg: FlowSinkConfig,
-    k: usize,
-) -> FlowReport {
-    let mut cfg = cfg;
-    cfg.concurrent_queue = true;
-    cfg.in_order = in_order;
-    run_pooled_flows(nic, cfg, x, workers, flow_cfg, k)
-}
-
-/// Runs a COREC-style *concurrent* pool of `workers` threads over all
-/// queues of a live WireCAP engine until the NIC stops — the
-/// single-hot-queue variant of [`run_pooled`] (DESIGN.md §4.12).
-///
-/// Where [`run_pooled`] still assigns each queue to one owning worker
-/// and rebalances by stealing whole chunks, this mode lets every
-/// worker claim chunks straight off the *same* queue's sealed stream
-/// via a lock-free claim word, so even traffic pinned to one queue is
-/// drained by all `workers` threads at once. With `in_order` the
-/// engine additionally re-serializes delivery per home queue through a
-/// bounded reorder buffer, trading a little latency for seal-order
-/// delivery.
-pub fn run_concurrent(
-    nic: Arc<LiveNic>,
-    cfg: WireCapConfig,
-    x: u32,
-    workers: usize,
-    in_order: bool,
-) -> PooledReport {
-    let mut cfg = cfg;
-    cfg.concurrent_queue = true;
-    cfg.in_order = in_order;
-    run_pooled(nic, cfg, x, workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,12 +443,12 @@ mod tests {
         };
         let mut cfg = WireCapConfig::basic(64, 32, 0);
         cfg.capture_timeout_ns = 1_000_000;
-        let report = run_concurrent_flows(
+        cfg.concurrent_queue = true;
+        let report = run_pooled_flows(
             Arc::clone(&nic),
             cfg,
             3,
             3,
-            false,
             FlowSinkConfig {
                 table_capacity: 1024,
                 topk_capacity: 16,
@@ -502,45 +463,44 @@ mod tests {
 
     #[test]
     fn concurrent_run_processes_everything_on_one_hot_queue() {
-        for in_order in [false, true] {
-            let nic = LiveNic::new(2, 4096);
-            let injector = {
-                let nic = Arc::clone(&nic);
-                std::thread::spawn(move || {
-                    let mut b = PacketBuilder::new();
-                    // One flow, one queue: the concurrent claim path's
-                    // reason for existing.
-                    let flow = FlowKey::udp(
-                        Ipv4Addr::new(131, 225, 2, 9),
-                        7_777,
-                        Ipv4Addr::new(8, 8, 8, 8),
-                        53,
-                    );
-                    for i in 0..1000u64 {
-                        let pkt = b.build_packet(i * 1_000, &flow, 100).unwrap();
-                        while nic.inject(pkt.clone()).is_none() {
-                            std::thread::yield_now();
-                        }
+        let nic = LiveNic::new(2, 4096);
+        let injector = {
+            let nic = Arc::clone(&nic);
+            std::thread::spawn(move || {
+                let mut b = PacketBuilder::new();
+                // One flow, one queue: the concurrent claim path's
+                // reason for existing.
+                let flow = FlowKey::udp(
+                    Ipv4Addr::new(131, 225, 2, 9),
+                    7_777,
+                    Ipv4Addr::new(8, 8, 8, 8),
+                    53,
+                );
+                for i in 0..1000u64 {
+                    let pkt = b.build_packet(i * 1_000, &flow, 100).unwrap();
+                    while nic.inject(pkt.clone()).is_none() {
+                        std::thread::yield_now();
                     }
-                    nic.stop();
-                })
-            };
-            let mut cfg = WireCapConfig::basic(64, 32, 0);
-            cfg.capture_timeout_ns = 1_000_000;
-            let report = run_concurrent(Arc::clone(&nic), cfg, 3, 3, in_order);
-            injector.join().unwrap();
-            assert_eq!(report.processed, 1000, "in_order={in_order}");
-            assert_eq!(report.matched, 1000, "in_order={in_order}");
-            assert_eq!(report.workers.len(), 3);
-            assert_eq!(
-                report.workers.iter().map(|r| r.packets).sum::<u64>(),
-                1000,
-                "worker reports disagree with handler counts (in_order={in_order})"
-            );
-            assert_eq!(
-                report.stolen_chunks, 0,
-                "concurrent mode claims, it never steals"
-            );
-        }
+                }
+                nic.stop();
+            })
+        };
+        let mut cfg = WireCapConfig::basic(64, 32, 0);
+        cfg.capture_timeout_ns = 1_000_000;
+        cfg.concurrent_queue = true;
+        let report = run_pooled(Arc::clone(&nic), cfg, 3, 3);
+        injector.join().unwrap();
+        assert_eq!(report.processed, 1000);
+        assert_eq!(report.matched, 1000);
+        assert_eq!(report.workers.len(), 3);
+        assert_eq!(
+            report.workers.iter().map(|r| r.packets).sum::<u64>(),
+            1000,
+            "worker reports disagree with handler counts"
+        );
+        assert_eq!(
+            report.stolen_chunks, 0,
+            "concurrent mode claims, it never steals"
+        );
     }
 }

@@ -14,8 +14,8 @@
 //! the hot queue's owning worker before a thief can take it; the
 //! COREC-style concurrent claim mode (DESIGN.md §4.12) lets every
 //! worker claim chunks straight off the same queue. That sweep (1
-//! queue, workers ∈ {1, 2, 4}, plus an in-order variant) is written
-//! separately as `fig_scaling_hotq.{json,txt}`.
+//! queue, workers ∈ {1, 2, 4}) is written separately as
+//! `fig_scaling_hotq.{json,txt}`.
 //!
 //! `--small` runs the single 2-queue/2-worker point plus its baseline
 //! and a reduced hot-queue sweep (the CI smoke configuration
@@ -140,8 +140,7 @@ fn main() -> Result<(), String> {
     );
 
     // Single-hot-queue sweep: 1 queue, claim-mode workers overlapping
-    // the blocking per-chunk stage, plus the in-order variant at the
-    // top worker count to show the reorder buffer's cost.
+    // the blocking per-chunk stage.
     let hotq_packets: u64 = if opts.small { 40_000 } else { 200_000 };
     let hotq_workers: Vec<usize> = vec![1, 2, 4];
     let mut hotq: Vec<ScalingPoint> = Vec::new();
@@ -149,12 +148,9 @@ fn main() -> Result<(), String> {
         eprintln!(
             "fig_scaling: concurrent hot queue, 1 queue x {w} worker(s), {hotq_packets} packets"
         );
-        hotq.push(concurrent_point(1, w, hotq_packets, false));
+        hotq.push(concurrent_point(1, w, hotq_packets));
     }
     let max_w = *hotq_workers.last().expect("non-empty hotq sweep");
-    eprintln!("fig_scaling: concurrent hot queue (in-order), 1 queue x {max_w} worker(s)");
-    hotq.push(concurrent_point(1, max_w, hotq_packets, true));
-
     let one_w_pps = hotq[0].pps;
     let max_w_pps = hotq[hotq_workers.len() - 1].pps;
     let hotq_speedup = max_w_pps / one_w_pps;

@@ -55,9 +55,8 @@ pub const CHUNK_IO_US: u64 = 100;
 #[derive(Debug, Clone, Serialize)]
 pub struct ScalingPoint {
     /// `"per_queue"` (one `LiveConsumer` thread per queue), `"pooled"`
-    /// (one work-stealing `ConsumerPool` over all queues),
-    /// `"concurrent"` (COREC-style claim-based pool, DESIGN.md §4.12),
-    /// or `"concurrent_ordered"` (same, with in-order delivery).
+    /// (one work-stealing `ConsumerPool` over all queues), or
+    /// `"concurrent"` (COREC-style claim-based pool, DESIGN.md §4.12).
     pub mode: &'static str,
     /// Receive queues on the NIC.
     pub queues: usize,
@@ -207,23 +206,11 @@ pub fn pooled_point(queues: usize, workers: usize, packets: u64) -> ScalingPoint
 /// Runs the concurrent-claim configuration (DESIGN.md §4.12): every
 /// pool worker claims sealed chunks straight off the same queues'
 /// shared claim streams, so even a single hot queue is drained by all
-/// `workers` threads at once. `in_order` additionally re-serializes
-/// delivery per home queue through the bounded reorder buffer.
-pub fn concurrent_point(
-    queues: usize,
-    workers: usize,
-    packets: u64,
-    in_order: bool,
-) -> ScalingPoint {
+/// `workers` threads at once.
+pub fn concurrent_point(queues: usize, workers: usize, packets: u64) -> ScalingPoint {
     let mut cfg = engine_config();
     cfg.concurrent_queue = true;
-    cfg.in_order = in_order;
-    let mode = if in_order {
-        "concurrent_ordered"
-    } else {
-        "concurrent"
-    };
-    pool_point_with(mode, cfg, queues, workers, packets)
+    pool_point_with("concurrent", cfg, queues, workers, packets)
 }
 
 fn pool_point_with(
@@ -296,15 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_modes_conserve_and_report_rates() {
-        let c = concurrent_point(1, 2, 20_000, false);
+    fn concurrent_mode_conserves_and_reports_rates() {
+        let c = concurrent_point(1, 2, 20_000);
         assert_eq!(c.packets, 20_000);
         assert!(c.pps > 0.0);
         assert_eq!(c.mode, "concurrent");
         assert_eq!(c.stolen_chunks, 0, "claim mode never steals");
-        let o = concurrent_point(1, 2, 20_000, true);
-        assert_eq!(o.packets, 20_000);
-        assert!(o.pps > 0.0);
-        assert_eq!(o.mode, "concurrent_ordered");
     }
 }

@@ -1,5 +1,5 @@
-//! Concurrent single-queue consumption: lock-free chunk claiming and
-//! optional in-order re-serialization (DESIGN.md §4.12).
+//! Concurrent single-queue consumption: lock-free chunk claiming
+//! (DESIGN.md §4.12).
 //!
 //! WireCAP's buddy groups and the work-stealing pool rebalance load
 //! *across* queues, but until this module a single scorching queue was
@@ -12,28 +12,23 @@
 //! traffic for neighbouring chunks never bounces a shared line between
 //! cores.
 //!
-//! Two primitives:
-//!
-//! * [`ClaimQueue`] — a bounded multi-producer multi-consumer queue in
-//!   the Vyukov style. Each cell carries one atomic *ticket* word; a
-//!   consumer claims a cell by CASing the shared claim cursor and then
-//!   owns the cell's chunk exclusively until the ticket wraps a full
-//!   lap. Losing the CAS race is reported explicitly as
-//!   [`Claim::Contended`] so callers can feed claim-contention
-//!   telemetry and the [`AdaptivePoller`](crate::AdaptivePoller)'s
-//!   lost-race yield instead of retrying blind.
-//! * [`ReorderBuffer`] — the optional in-order stage. Chunks are
-//!   sequence-stamped at seal time by their home capture thread;
-//!   claimed chunks are inserted by `seq` and a CAS-acquired delivery
-//!   token re-serializes delivery in strictly increasing `seq` order,
-//!   one queue at a time, while other workers keep claiming.
+//! [`ClaimQueue`] is a bounded multi-producer multi-consumer queue in
+//! the Vyukov style. Each cell carries one atomic *ticket* word; a
+//! consumer claims a cell by CASing the shared claim cursor and then
+//! owns the cell's chunk exclusively until the ticket wraps a full
+//! lap. Losing the CAS race is reported explicitly as
+//! [`Claim::Contended`] so callers can feed claim-contention telemetry
+//! and the [`AdaptivePoller`](crate::AdaptivePoller)'s lost-race yield
+//! instead of retrying blind. Delivery order within a queue is
+//! unspecified; a per-queue [`LiveConsumer`](crate::LiveConsumer)
+//! gives seal order.
 //!
 //! Recycling stays home-pool-only: claiming moves *handles* (sealed
 //! chunk descriptors), never slots, exactly like stealing — the worker
 //! that finishes a chunk still returns the slot to the chunk's home
 //! arena free list.
 
-pub use imp::{Claim, ClaimQueue, ReorderBuffer};
+pub use imp::{Claim, ClaimQueue};
 
 // Raw-cell internals: `MaybeUninit` storage guarded by the per-cell
 // ticket protocol, same opt-in pattern as `spsc` and `steal`.
@@ -41,7 +36,7 @@ pub use imp::{Claim, ClaimQueue, ReorderBuffer};
 mod imp {
     use std::cell::UnsafeCell;
     use std::mem::MaybeUninit;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Outcome of one [`ClaimQueue::try_claim`] attempt.
     #[derive(Debug, PartialEq, Eq)]
@@ -232,182 +227,6 @@ mod imp {
             }
         }
     }
-
-    /// One reorder slot: `tag == 0` empty, `tag == seq + 1` holding
-    /// the chunk stamped `seq`. Padded like the claim cells so
-    /// neighbouring in-flight sequence numbers never share a line.
-    #[repr(align(128))]
-    struct Slot<T> {
-        tag: AtomicU64,
-        value: UnsafeCell<MaybeUninit<T>>,
-    }
-
-    /// Padded atomic word for the reorder cursors/token.
-    #[derive(Default)]
-    #[repr(align(128))]
-    struct PaddedWord(AtomicU64);
-
-    /// Fixed-capacity per-queue reorder stage for in-order delivery.
-    ///
-    /// Sequence `seq` lands in slot `seq % capacity`; capacity must be
-    /// at least the home queue's chunk count `R`, which bounds the
-    /// outstanding sequence window: delivery is in-order and a chunk's
-    /// slot is recycled only at delivery, so at most `R` consecutive
-    /// sequence numbers can be sealed-but-undelivered at once and no
-    /// two live chunks ever map to the same slot.
-    ///
-    /// Delivery is serialized by a CAS token with `SeqCst` ordering on
-    /// the insert/token/recheck path: an inserter that finds the token
-    /// held may leave — in the sequentially consistent total order its
-    /// insert precedes the holder's token release, and the holder
-    /// re-checks readiness after releasing, so no ready chunk is ever
-    /// stranded by a missed wakeup.
-    pub struct ReorderBuffer<T> {
-        slots: Box<[Slot<T>]>,
-        mask: u64,
-        /// Next sequence number to deliver.
-        next_seq: PaddedWord,
-        /// Chunks currently parked in the buffer.
-        occupancy: PaddedWord,
-        /// Delivery token: 1 while a worker is pumping this queue.
-        token: PaddedWord,
-    }
-
-    unsafe impl<T: Send> Send for ReorderBuffer<T> {}
-    unsafe impl<T: Send> Sync for ReorderBuffer<T> {}
-
-    impl<T> ReorderBuffer<T> {
-        /// Creates a buffer of at least `capacity` slots (rounded up
-        /// to a power of two, minimum 2). `capacity` must cover the
-        /// maximum outstanding sequence window (the home queue's `R`).
-        pub fn new(capacity: usize) -> Self {
-            let cap = capacity.max(2).next_power_of_two();
-            let slots = (0..cap)
-                .map(|_| Slot {
-                    tag: AtomicU64::new(0),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice();
-            ReorderBuffer {
-                slots,
-                mask: (cap - 1) as u64,
-                next_seq: PaddedWord::default(),
-                occupancy: PaddedWord::default(),
-                token: PaddedWord::default(),
-            }
-        }
-
-        /// Number of slots.
-        pub fn capacity(&self) -> usize {
-            self.slots.len()
-        }
-
-        /// Chunks currently parked (racy estimate; exact when quiesced).
-        pub fn len(&self) -> u64 {
-            self.occupancy.0.load(Ordering::Relaxed)
-        }
-
-        /// True when no chunk is parked (racy; exact when quiesced).
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Next sequence number the buffer will deliver.
-        pub fn next_expected(&self) -> u64 {
-            self.next_seq.0.load(Ordering::SeqCst)
-        }
-
-        /// Parks the chunk stamped `seq`. Panics if the slot is still
-        /// occupied — that would mean the outstanding window exceeded
-        /// capacity, a violation of the `R`-bound invariant, and
-        /// silently overwriting would strand a chunk.
-        pub fn insert(&self, seq: u64, item: T) {
-            let slot = &self.slots[(seq & self.mask) as usize];
-            assert_eq!(
-                slot.tag.load(Ordering::Acquire),
-                0,
-                "reorder window exceeded buffer capacity at seq {seq}"
-            );
-            unsafe { (*slot.value.get()).write(item) };
-            self.occupancy.0.fetch_add(1, Ordering::Relaxed);
-            slot.tag.store(seq + 1, Ordering::SeqCst);
-        }
-
-        /// Delivers every consecutive ready chunk starting at the
-        /// next expected sequence, in strictly increasing order, to
-        /// `deliver`. Only one worker pumps at a time (CAS token);
-        /// callers race freely. Returns the number delivered.
-        pub fn pump(&self, mut deliver: impl FnMut(u64, T)) -> u64 {
-            let mut delivered = 0;
-            loop {
-                let next = self.next_seq.0.load(Ordering::SeqCst);
-                let slot = &self.slots[(next & self.mask) as usize];
-                if slot.tag.load(Ordering::SeqCst) != next + 1 {
-                    return delivered; // head-of-line chunk not here yet
-                }
-                if self
-                    .token
-                    .0
-                    .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_err()
-                {
-                    // The token holder re-checks after releasing, so
-                    // it will see (or already saw) this ready chunk.
-                    return delivered;
-                }
-                loop {
-                    let next = self.next_seq.0.load(Ordering::SeqCst);
-                    let slot = &self.slots[(next & self.mask) as usize];
-                    if slot.tag.load(Ordering::SeqCst) != next + 1 {
-                        break;
-                    }
-                    let value = unsafe { (*slot.value.get()).assume_init_read() };
-                    slot.tag.store(0, Ordering::SeqCst);
-                    self.next_seq.0.store(next + 1, Ordering::SeqCst);
-                    self.occupancy.0.fetch_sub(1, Ordering::Relaxed);
-                    delivered += 1;
-                    deliver(next, value);
-                }
-                self.token.0.store(0, Ordering::SeqCst);
-                // Loop: re-check readiness after release (see above).
-            }
-        }
-
-        /// Forced-stop drain: takes every parked chunk regardless of
-        /// sequence gaps. Spins for the delivery token so it never
-        /// races a concurrent [`pump`](Self::pump) over a slot.
-        pub fn take_stranded(&self) -> Vec<T> {
-            while self
-                .token
-                .0
-                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_err()
-            {
-                std::hint::spin_loop();
-            }
-            let mut out = Vec::new();
-            for slot in self.slots.iter() {
-                if slot.tag.load(Ordering::SeqCst) != 0 {
-                    out.push(unsafe { (*slot.value.get()).assume_init_read() });
-                    slot.tag.store(0, Ordering::SeqCst);
-                    self.occupancy.0.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            self.token.0.store(0, Ordering::SeqCst);
-            out
-        }
-    }
-
-    impl<T> Drop for ReorderBuffer<T> {
-        fn drop(&mut self) {
-            for slot in self.slots.iter_mut() {
-                if *slot.tag.get_mut() != 0 {
-                    unsafe { slot.value.get_mut().assume_init_drop() };
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -503,98 +322,5 @@ mod tests {
         assert_eq!(Arc::strong_count(&item), 3);
         drop(q);
         assert_eq!(Arc::strong_count(&item), 1, "drop leaked queued items");
-    }
-
-    #[test]
-    fn reorder_delivers_strictly_increasing() {
-        let ro = ReorderBuffer::new(8);
-        let mut seen = Vec::new();
-        ro.insert(2, "c");
-        assert_eq!(ro.pump(|s, v| seen.push((s, v))), 0, "gap holds delivery");
-        ro.insert(0, "a");
-        assert_eq!(ro.pump(|s, v| seen.push((s, v))), 1);
-        ro.insert(1, "b");
-        assert_eq!(
-            ro.pump(|s, v| seen.push((s, v))),
-            2,
-            "gap fill releases 1+2"
-        );
-        assert_eq!(seen, vec![(0, "a"), (1, "b"), (2, "c")]);
-        assert!(ro.is_empty());
-    }
-
-    #[test]
-    fn reorder_wraps_past_capacity() {
-        let ro = ReorderBuffer::new(4);
-        let mut seen = Vec::new();
-        for s in 0..100u64 {
-            ro.insert(s, s * 10);
-            ro.pump(|seq, v| seen.push((seq, v)));
-        }
-        assert_eq!(seen.len(), 100);
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn reorder_take_stranded_clears_gapped_residue() {
-        let ro = ReorderBuffer::new(8);
-        ro.insert(1, "b");
-        ro.insert(3, "d");
-        assert_eq!(ro.pump(|_, _| {}), 0);
-        assert_eq!(ro.len(), 2);
-        let mut stranded = ro.take_stranded();
-        stranded.sort_unstable();
-        assert_eq!(stranded, vec!["b", "d"]);
-        assert!(ro.is_empty());
-    }
-
-    #[test]
-    fn reorder_concurrent_inserters_deliver_in_order() {
-        const N: u64 = 20_000;
-        let ro = Arc::new(ReorderBuffer::new(64));
-        let next = Arc::new(AtomicU64::new(0));
-        let delivered = Arc::new(AtomicU64::new(0));
-        let last = Arc::new(AtomicU64::new(u64::MAX));
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let ro = Arc::clone(&ro);
-                let next = Arc::clone(&next);
-                let delivered = Arc::clone(&delivered);
-                let last = Arc::clone(&last);
-                std::thread::spawn(move || loop {
-                    let seq = next.fetch_add(1, Ordering::Relaxed);
-                    if seq >= N {
-                        return;
-                    }
-                    // The window invariant the engine provides (at most
-                    // `capacity` outstanding seqs) is enforced here by
-                    // waiting for the slot's lap to come around.
-                    while seq >= ro.next_expected() + ro.capacity() as u64 {
-                        ro.pump(|s, _v: u64| {
-                            let prev = last.swap(s, Ordering::Relaxed);
-                            assert!(prev == u64::MAX || s == prev + 1, "out of order");
-                            delivered.fetch_add(1, Ordering::Relaxed);
-                        });
-                        std::hint::spin_loop();
-                    }
-                    ro.insert(seq, seq);
-                    ro.pump(|s, _v: u64| {
-                        let prev = last.swap(s, Ordering::Relaxed);
-                        assert!(prev == u64::MAX || s == prev + 1, "out of order");
-                        delivered.fetch_add(1, Ordering::Relaxed);
-                    });
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        // A final pump catches anything parked after the last worker's
-        // own pump lost the token race.
-        ro.pump(|_, _v: u64| {
-            delivered.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(delivered.load(Ordering::Relaxed), N);
-        assert!(ro.is_empty());
     }
 }

@@ -51,15 +51,11 @@ pub struct WireCapConfig {
     /// claim queues and any `ConsumerPool` worker may claim from any
     /// member queue, so one scorching queue is drained by many cores.
     /// Incompatible with per-queue [`LiveConsumer`] handles; delivery
-    /// order within a queue is unspecified unless `in_order` is set.
+    /// order within a queue is unspecified. A per-queue
+    /// [`LiveConsumer`] delivers its queue in seal order.
     ///
     /// [`LiveConsumer`]: ../live/struct.LiveConsumer.html
     pub concurrent_queue: bool,
-    /// In-order delivery for concurrent consumption: chunks are
-    /// sequence-stamped at seal time and a fixed-capacity per-queue
-    /// reorder buffer re-serializes delivery in strictly increasing
-    /// sequence order. Requires `concurrent_queue`.
-    pub in_order: bool,
     /// Span-tracing sample rate: 1-in-N chunks per queue get a full
     /// lifecycle span (seal → publish → claim → deliver → recycle,
     /// DESIGN.md §4.14). `0` disables span tracing entirely — no
@@ -96,7 +92,6 @@ impl WireCapConfig {
             park_timeout_ns: 1_000_000,
             pin_threads: false,
             concurrent_queue: false,
-            in_order: false,
             span_sample_n: 0,
             latency_slo_ns: None,
             app: AppModel {
@@ -149,9 +144,6 @@ impl WireCapConfig {
         }
         if !(0.0..=1.0).contains(&self.offload_penalty) || self.offload_penalty == 0.0 {
             return Err(ConfigError::InvalidPenalty(self.offload_penalty));
-        }
-        if self.in_order && !self.concurrent_queue {
-            return Err(ConfigError::InOrderRequiresConcurrent);
         }
         Ok(())
     }
@@ -226,9 +218,6 @@ pub enum ConfigError {
     InvalidThreshold(f64),
     /// The offload CPU-efficiency penalty must lie in (0, 1].
     InvalidPenalty(f64),
-    /// In-order delivery re-serializes the concurrent claim stream, so
-    /// it is meaningless without `concurrent_queue`.
-    InOrderRequiresConcurrent,
 }
 
 impl fmt::Display for ConfigError {
@@ -247,9 +236,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InvalidPenalty(p) => {
                 write!(f, "offload penalty {p} must be in (0, 1]")
-            }
-            ConfigError::InOrderRequiresConcurrent => {
-                write!(f, "in_order delivery requires concurrent_queue")
             }
         }
     }
@@ -353,14 +339,6 @@ impl WireCapConfigBuilder {
     /// instead of each queue having one drainer (DESIGN.md §4.12).
     pub fn concurrent_queue(mut self, on: bool) -> Self {
         self.cfg.concurrent_queue = on;
-        self
-    }
-
-    /// In-order delivery for concurrent consumption (requires
-    /// [`concurrent_queue`](Self::concurrent_queue); validated at
-    /// [`build`](Self::build)).
-    pub fn in_order(mut self, on: bool) -> Self {
-        self.cfg.in_order = on;
         self
     }
 
@@ -537,11 +515,9 @@ mod tests {
     fn concurrent_queue_knobs() {
         let cfg = WireCapConfig::builder()
             .concurrent_queue(true)
-            .in_order(true)
             .build()
             .unwrap();
         assert!(cfg.concurrent_queue);
-        assert!(cfg.in_order);
         assert_eq!(cfg.span_sample_n, 0, "span tracing defaults off");
         assert_eq!(
             WireCapConfig::builder()
@@ -552,12 +528,6 @@ mod tests {
             64
         );
         assert!(!WireCapConfig::basic(64, 32, 0).concurrent_queue);
-        assert!(!WireCapConfig::basic(64, 32, 0).in_order);
-        // In-order without concurrent claiming is meaningless.
-        assert_eq!(
-            WireCapConfig::builder().in_order(true).build().unwrap_err(),
-            ConfigError::InOrderRequiresConcurrent
-        );
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use backend::{
 };
 pub use buddy::BuddyGroup;
 pub use chunk::{ChunkId, ChunkMeta, ChunkState};
-pub use claim::{Claim, ClaimQueue, ReorderBuffer};
+pub use claim::{Claim, ClaimQueue};
 pub use config::{ConfigError, WireCapConfig, WireCapConfigBuilder};
 pub use engine::WireCapEngine;
 pub use live::{ChunkLens, LiveChunk, LiveConsumer, LiveWireCap, RegistryHandle};

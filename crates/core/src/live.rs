@@ -50,7 +50,7 @@
 use crate::arena::{ChunkArena, ChunkView, FreeSlot, SealedSlot};
 use crate::backend::{CaptureBackend, LiveWireCapBuilder};
 use crate::buddy::{BuddyGroup, BuddyGroups};
-use crate::claim::{ClaimQueue, ReorderBuffer};
+use crate::claim::ClaimQueue;
 use crate::config::{WireCapConfig, CELL_BYTES};
 use crate::spsc::{BatchRing, MAX_BATCH};
 use crate::steal::{available_cores, pin_to_core, AdaptivePoller, ConsumerPool, WakeupGate};
@@ -79,8 +79,8 @@ pub struct LiveChunk {
     pub(crate) home: u32,
     pub(crate) offloaded: bool,
     /// Seal-order sequence number within the home queue, stamped by the
-    /// home capture thread (monotonic from 0 per queue). Drives the
-    /// in-order reorder buffer; informational otherwise.
+    /// home capture thread (monotonic from 0 per queue). Drives span
+    /// sampling; consumers read it to check per-queue delivery order.
     pub(crate) seq: u64,
     /// Lifecycle span stamps (DESIGN.md §4.14), `Some` on the 1-in-N
     /// chunks the span sampler picked. The stamps travel inside the
@@ -115,8 +115,8 @@ impl LiveChunk {
     }
 
     /// Seal-order sequence number within the home queue (monotonic from
-    /// 0 per queue). In in-order concurrent mode delivery follows this
-    /// ordering exactly.
+    /// 0 per queue). A per-queue [`LiveConsumer`] delivers in this
+    /// order; a pool's claim intake does not.
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -178,9 +178,6 @@ pub(crate) struct Shared {
     /// chunk in existence (`queues × R`) and closed by producer
     /// countdown.
     pub(crate) claims: Option<Vec<ClaimQueue<LiveChunk>>>,
-    /// In-order mode: one reorder buffer per *home* queue (capacity R)
-    /// re-serializing claimed chunks by seal sequence.
-    pub(crate) reorder: Option<Vec<ReorderBuffer<LiveChunk>>>,
 }
 
 /// The delivery side's shared steps, one copy each for [`LiveConsumer`]
@@ -329,8 +326,6 @@ impl LiveWireCap {
                     .map(|_| ClaimQueue::new(queues * cfg.r, queues))
                     .collect()
             }),
-            reorder: (cfg.concurrent_queue && cfg.in_order)
-                .then(|| (0..queues).map(|_| ReorderBuffer::new(cfg.r)).collect()),
         });
         // Live observability (DESIGN.md §4.9): sampler thread + scrape
         // endpoint, attached only when the telemetry env asks for them.
@@ -538,9 +533,6 @@ fn queue_telemetry(
     t.capture_queue_len = shared.rings[q].iter().map(|r| r.len() as u64).sum();
     if let Some(claims) = shared.claims.as_ref() {
         t.capture_queue_len += claims[q].len() as u64;
-    }
-    if let Some(reorder) = shared.reorder.as_ref() {
-        t.reorder_occupancy = reorder[q].len();
     }
     // The watermark is also advanced by readers: every snapshot (and so
     // every sampler tick) folds the current depth in, which covers

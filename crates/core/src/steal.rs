@@ -46,7 +46,7 @@
 
 use crate::arena::ChunkView;
 use crate::buddy::BuddyGroup;
-use crate::claim::{Claim, ClaimQueue, ReorderBuffer};
+use crate::claim::{Claim, ClaimQueue};
 use crate::config::WireCapConfig;
 use crate::live::{LiveChunk, Shared};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -560,9 +560,9 @@ impl<'a> PoolDelivery<'a> {
         self.stolen
     }
 
-    /// Seal-order sequence number within the chunk's home queue. In
-    /// in-order concurrent mode, deliveries for one home queue carry
-    /// strictly increasing values.
+    /// Seal-order sequence number within the chunk's home queue. Pool
+    /// workers deliver concurrently, so across workers deliveries need
+    /// not follow it.
     pub fn seq(&self) -> u64 {
         self.chunk.seq()
     }
@@ -783,17 +783,15 @@ fn process_chunk(
 ) {
     let home = chunk.home();
     let len = chunk.len() as u64;
-    // Sampled chunk: the handler call is the deliver stage. The
-    // acquisition stamps may already be set (claim CAS or ring drain);
-    // anything unset collapses to this instant.
+    // Sampled chunk: ownership and the deliver stage begin here. The
+    // deque intake's ring drain may already have stamped the start of
+    // acquisition; otherwise it collapses to this instant too.
     if let Some(span) = chunk.span.as_mut() {
         let now = clock::mono_ns();
         if span.acquire_started_ns == 0 {
             span.acquire_started_ns = now;
         }
-        if span.acquired_ns == 0 {
-            span.acquired_ns = now;
-        }
+        span.acquired_ns = now;
         span.deliver_start_ns = now;
     }
     {
@@ -897,9 +895,7 @@ impl Intake {
     /// End-of-stream: every source is closed and empty. Residual chunks
     /// in *other* workers' hands are theirs: every worker drains its
     /// own deque before exiting, and a chunk a peer has claimed is that
-    /// peer's to deliver (or, in in-order mode, to insert and pump —
-    /// the inserting worker always pumps, so no gap survives a natural
-    /// end-of-stream).
+    /// peer's to deliver.
     fn drained(&self, ctx: &WorkerCtx) -> bool {
         match self {
             Intake::Deque { deque, .. } => {
@@ -914,11 +910,6 @@ impl Intake {
                 ctx.members
                     .iter()
                     .all(|&q| claims[q].is_closed() && claims[q].is_empty())
-                    && ctx
-                        .shared
-                        .reorder
-                        .as_deref()
-                        .is_none_or(|ro| ctx.members.iter().all(|&q| ro[q].is_empty()))
             }
         }
     }
@@ -942,11 +933,8 @@ impl Intake {
                     shared.drop_undelivered(chunk);
                 }
             }
-            // Claim-drain every member queue, then reclaim anything
-            // stranded behind a gap in the reorder buffers. Each worker
-            // runs this sweep *after* its own last insert, so a chunk
-            // it parked behind a gap is reclaimed by its own sweep even
-            // if the other workers swept earlier.
+            // Claim-drain every member queue. (A chunk a peer already
+            // claimed is that peer's to deliver.)
             Intake::Claim => {
                 let claims = claims(ctx);
                 for &q in &ctx.members {
@@ -956,14 +944,6 @@ impl Intake {
                             Claim::Contended => std::hint::spin_loop(),
                             Claim::Empty => break,
                         }
-                    }
-                }
-                if let Some(ro) = shared.reorder.as_deref() {
-                    for &q in &ctx.members {
-                        for chunk in ro[q].take_stranded() {
-                            shared.drop_undelivered(chunk);
-                        }
-                        shared.tel.queue(q).pool.reorder_occupancy.set(0);
                     }
                 }
             }
@@ -1161,7 +1141,6 @@ fn claim_round(
     prof: &mut Option<WorkerProfiler>,
 ) -> Round {
     let claims = claims(ctx);
-    let reorder = ctx.shared.reorder.as_deref();
     let members = ctx.members.len();
     let mut claimed = false;
     let mut contended = false;
@@ -1174,20 +1153,16 @@ fn claim_round(
         let mut burst_ns = 0u64;
         for _ in 0..PROCESS_BURST {
             match claims[q].try_claim() {
-                Claim::Claimed(mut chunk) => {
+                Claim::Claimed(chunk) => {
                     claimed = true;
                     if burst_ns == 0 {
                         burst_ns = clock::mono_ns();
                     }
-                    // The winning CAS is the whole acquisition with
-                    // this intake (the claim stage is the CAS itself);
-                    // reorder-buffer dwell then lands in the reorder
-                    // stage.
-                    if let Some(span) = chunk.span.as_mut() {
-                        span.acquire_started_ns = burst_ns;
-                        span.acquired_ns = burst_ns;
-                    }
-                    deliver_claimed(ctx, report, reorder, chunk, burst_ns);
+                    // A sampled chunk's acquisition is stamped inside
+                    // `process_chunk`, not from `burst_ns`: a chunk
+                    // claimed late in the burst may have been published
+                    // after `burst_ns` was read.
+                    process_chunk(ctx, report, chunk, false, burst_ns);
                 }
                 Claim::Contended => {
                     ctx.shared.tel.queue(q).pool.claim_contention.inc();
@@ -1213,43 +1188,6 @@ fn claim_round(
         Round::Contended
     } else {
         Round::Idle
-    }
-}
-
-/// Delivers one claimed chunk: straight to the handler in unordered
-/// mode, or through the home queue's reorder buffer in in-order mode.
-fn deliver_claimed(
-    ctx: &WorkerCtx,
-    report: &mut PoolWorkerReport,
-    reorder: Option<&[ReorderBuffer<LiveChunk>]>,
-    chunk: LiveChunk,
-    delivered_ns: u64,
-) {
-    let Some(ro) = reorder else {
-        process_chunk(ctx, report, chunk, false, delivered_ns);
-        return;
-    };
-    // Claimed after stop was raised: drop instead of parking it in the
-    // reorder buffer — ordering is void during teardown, and the stop
-    // sweep may already have passed this buffer.
-    if ctx.stop.load(Ordering::SeqCst) {
-        ctx.shared.drop_undelivered(chunk);
-        return;
-    }
-    let buf = &ro[chunk.home()];
-    let home = chunk.home();
-    buf.insert(chunk.seq(), chunk);
-    let delivered = buf.pump(|_seq, c| process_chunk(ctx, report, c, false, delivered_ns));
-    ctx.shared
-        .tel
-        .queue(home)
-        .pool
-        .reorder_occupancy
-        .set(buf.len());
-    if delivered > 0 {
-        // Wake peers whose end-of-stream check waits on the reorder
-        // buffers draining.
-        ctx.shared.delivery_gate.notify();
     }
 }
 

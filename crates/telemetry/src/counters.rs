@@ -132,14 +132,17 @@ pub struct DeliverySide {
     /// chunks (`span_sample_n`, see [`crate::spans`]): seal → ring
     /// publish (capture-side residency).
     pub stage_backend_ns: Log2Histogram,
-    /// Sampled-span stage: ring publish → winning acquisition attempt
-    /// (time waiting in the delivery ring / steal deque).
+    /// Sampled-span stage: ring publish → acquisition start (time
+    /// waiting in the delivery ring or claim queue).
     pub stage_queue_wait_ns: Log2Histogram,
-    /// Sampled-span stage: acquisition attempt → ownership (the
-    /// claim-CAS window in concurrent mode; ~0 on pop/steal paths).
+    /// Sampled-span stage: acquisition start → ownership (the deque
+    /// intake's ring drain → pop, i.e. worker-deque dwell; 0 on the
+    /// claim intake and the per-queue consumer).
     pub stage_claim_ns: Log2Histogram,
-    /// Sampled-span stage: ownership → delivery start (reorder-buffer
-    /// residency in in-order mode).
+    /// Sampled-span stage: ownership → delivery start. It measured
+    /// reorder-buffer dwell; since in-order delivery was removed every
+    /// path starts the handler the moment it owns a chunk, so each
+    /// sampled chunk records 0 here. Kept: the schema is frozen.
     pub stage_reorder_ns: Log2Histogram,
     /// Sampled-span stage: delivery start → end (handler time).
     pub stage_deliver_ns: Log2Histogram,
@@ -224,10 +227,6 @@ pub struct PoolSide {
     /// Occupancy of the primary worker's local steal deque, published
     /// after each ring drain.
     pub steal_queue_len: Gauge,
-    /// Chunks parked in this queue's in-order reorder buffer, published
-    /// by the engine at snapshot time (0 unless in-order concurrent
-    /// mode is active).
-    pub reorder_occupancy: Gauge,
 }
 
 /// Counters written by the flow-analytics stage (`flowstat` sinks
@@ -345,7 +344,7 @@ impl QueueCounters {
             flow_evicted_packets: self.flow.0.flow_evicted_packets.get(),
             flow_hash_collisions: self.flow.0.flow_hash_collisions.get(),
             steal_queue_len: self.pool.0.steal_queue_len.get(),
-            reorder_occupancy: self.pool.0.reorder_occupancy.get(),
+            reorder_occupancy: 0,
             flow_table_occupancy: self.flow.0.flow_table_occupancy.get(),
             capture_queue_len: 0,
             capture_queue_watermark: self.capture_queue_watermark.get(),

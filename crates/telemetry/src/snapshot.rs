@@ -82,8 +82,9 @@ pub struct QueueTelemetry {
     pub flow_hash_collisions: u64,
     /// Gauge: occupancy of the primary pool worker's steal deque.
     pub steal_queue_len: u64,
-    /// Gauge: chunks parked in this queue's in-order reorder buffer
-    /// (0 unless in-order concurrent mode is active).
+    /// Gauge: chunks parked in this queue's reorder buffer. Never
+    /// charged since in-order delivery was removed: it reads 0, and the
+    /// field stays because the snapshot schema is frozen.
     pub reorder_occupancy: u64,
     /// Gauge: live flows resident in the flow tables of this queue's
     /// processing workers (0 unless a flow sink is attached).
@@ -117,13 +118,14 @@ pub struct QueueTelemetry {
     /// publish. Only 1-in-N chunks are sampled, so `count` tracks
     /// `sealed_chunks / span_sample_n`, not `sealed_chunks`.
     pub stage_backend_ns: HistogramSnapshot,
-    /// Sampled-span stage: ring publish → winning acquisition attempt.
+    /// Sampled-span stage: ring publish → acquisition start.
     pub stage_queue_wait_ns: HistogramSnapshot,
-    /// Sampled-span stage: acquisition attempt → ownership (claim-CAS
-    /// window).
+    /// Sampled-span stage: acquisition start → ownership (worker-deque
+    /// dwell; 0 off the deque intake).
     pub stage_claim_ns: HistogramSnapshot,
-    /// Sampled-span stage: ownership → delivery start (reorder-buffer
-    /// residency).
+    /// Sampled-span stage: ownership → delivery start. Records 0 for
+    /// every sampled chunk since in-order delivery (reorder-buffer
+    /// dwell) was removed; kept because the schema is frozen.
     pub stage_reorder_ns: HistogramSnapshot,
     /// Sampled-span stage: delivery start → end (handler time).
     pub stage_deliver_ns: HistogramSnapshot,

@@ -65,13 +65,12 @@ pub struct SpanStamps {
     pub sealed_ns: u64,
     /// Chunk published to its delivery ring (end of the backend stage).
     pub published_ns: u64,
-    /// The winning acquisition attempt *began* (claim-round start in
-    /// concurrent mode; equals `acquired_ns` on pop/steal paths).
+    /// Acquisition *began*: the deque intake's ring drain; equals
+    /// `acquired_ns` on every other path.
     pub acquire_started_ns: u64,
     /// Ownership transferred to a consumer or pool worker.
     pub acquired_ns: u64,
-    /// Delivery (handler) began. On the in-order path this is after
-    /// the reorder buffer released the chunk.
+    /// Delivery (handler) began.
     pub deliver_start_ns: u64,
     /// Delivery (handler) finished.
     pub deliver_end_ns: u64,
@@ -105,14 +104,15 @@ pub struct SpanRecord {
     pub end_to_end_ns: u64,
     /// Seal → ring publish: capture-side residency.
     pub stage_backend_ns: u64,
-    /// Publish → winning acquisition attempt: time waiting in the
-    /// ring/deque.
+    /// Publish → acquisition start: time waiting in the ring or claim
+    /// queue.
     pub stage_queue_wait_ns: u64,
-    /// Winning acquisition attempt → ownership (claim-CAS window;
-    /// 0 on pop/steal paths).
+    /// Acquisition start → ownership (worker-deque dwell; 0 off the
+    /// deque intake).
     pub stage_claim_ns: u64,
-    /// Ownership → delivery start (reorder-buffer residency; ~0 when
-    /// in-order delivery is off).
+    /// Ownership → delivery start. 0 on every path since in-order
+    /// delivery (reorder-buffer dwell) was removed; kept because the
+    /// snapshot schema is frozen.
     pub stage_reorder_ns: u64,
     /// Delivery start → end: handler time.
     pub stage_deliver_ns: u64,

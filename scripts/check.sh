@@ -89,7 +89,7 @@ echo "==> release-mode conservation suites"
 # failures by backend name; claim_interleavings is the exhaustive
 # two-thread model of the claim CAS protocol.
 for t in engine_conformance offload_conservation claim_interleavings \
-    inorder_conservation steal_conservation flow_conservation; do
+    steal_conservation flow_conservation; do
     cargo test -q --release --test "$t"
 done
 

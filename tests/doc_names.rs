@@ -5,7 +5,8 @@
 //! checks keep that vocabulary honest: no current source or document
 //! still mentions a retired name (the bench, its artifact, the poller's
 //! deleted spin stage and its knob, the deleted pool-tuning layer, the
-//! merged pool loop, the deleted snapshot dump and its variables), and
+//! merged pool loop, the deleted snapshot dump and its variables, the
+//! deleted in-order delivery mode), and
 //! every name the EXPERIMENTS.md disposition table sends a reader to
 //! exists.
 
@@ -73,6 +74,13 @@ fn nothing_current_cites_a_retired_name() {
         concat!("WIRECAP_TELEMETRY_", "FORMAT"),
         concat!("take_", "dump_request"),
         concat!("install_", "sigusr1"),
+        // The deleted in-order delivery mode, its test file and wrappers.
+        concat!("Reorder", "Buffer"),
+        concat!("InOrder", "RequiresConcurrent"),
+        concat!("take_", "stranded"),
+        concat!("concurrent_", "ordered"),
+        concat!("inorder_", "conservation"),
+        concat!("run_", "concurrent_flows"),
     ];
     let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].map(|f| repo().join(f));
 

@@ -46,7 +46,6 @@ fn flow_key(i: u64, flows: u16) -> FlowKey {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_flow_pool(
     total: u64,
     queues: usize,
@@ -54,14 +53,12 @@ fn run_flow_pool(
     flows: u16,
     table_capacity: usize,
     concurrent: bool,
-    in_order: bool,
     force_stop: bool,
 ) -> FlowRun {
     let nic = LiveNic::new(queues, 8192);
     let mut cfg = WireCapConfig::basic(32, 64, 0);
     cfg.capture_timeout_ns = 1_000_000;
     cfg.concurrent_queue = concurrent;
-    cfg.in_order = concurrent && in_order;
     let groups = BuddyGroups::single(queues);
     let group = groups.group_of(0).cloned().expect("queue 0 grouped");
     let engine = LiveWireCap::builder()
@@ -177,7 +174,7 @@ fn assert_flow_conserved(r: &FlowRun) {
 /// that eviction must fire, and conservation still holds.
 #[test]
 fn eviction_pressure_conserves_counts() {
-    let r = run_flow_pool(3_000, 2, 2, 500, 64, false, false, false);
+    let r = run_flow_pool(3_000, 2, 2, 500, 64, false, false);
     assert_flow_conserved(&r);
     let evicted: u64 = r.sinks.iter().map(|s| s.stats().evicted_flows).sum();
     assert!(
@@ -191,7 +188,7 @@ fn eviction_pressure_conserves_counts() {
 /// every flow's merged count equals its injected count.
 #[test]
 fn exact_per_flow_counts_without_eviction() {
-    let r = run_flow_pool(2_000, 2, 3, 40, 4096, false, false, false);
+    let r = run_flow_pool(2_000, 2, 3, 40, 4096, false, false);
     assert_flow_conserved(&r);
     let mut per_flow: HashMap<FlowKey, u64> = HashMap::new();
     for s in &r.sinks {
@@ -216,12 +213,11 @@ proptest! {
         flows in 1u16..300,
         table_shift in 5usize..13,
         concurrent in any::<bool>(),
-        in_order in any::<bool>(),
         force_stop in any::<bool>(),
     ) {
         let r = run_flow_pool(
             total, queues, workers, flows, 1usize << table_shift,
-            concurrent, in_order, force_stop,
+            concurrent, force_stop,
         );
         assert_flow_conserved(&r);
         prop_assert_eq!(r.reports.len(), workers);

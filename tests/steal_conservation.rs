@@ -1,14 +1,17 @@
-//! Work-stealing pool accounting under randomized interleavings.
+//! Consumer-pool accounting under randomized interleavings, on both
+//! pool intakes: per-worker deques with stealing (DESIGN.md §4.11) and
+//! COREC-style claiming off shared per-queue claim queues (§4.12).
 //!
 //! Mirrors `offload_conservation.rs` one layer down: where that test
 //! audits buddy-group offloading between capture threads, this one
-//! audits chunk stealing between pool workers. The invariants are the
+//! audits chunk movement between pool workers. The invariants are the
 //! same shape, and both steal counters are incremented at the *same*
 //! steal event (the thief charges the victim chunk's home queue with
 //! `steal_out_chunks` and its own primary queue with `steal_in_chunks`
 //! in one motion), so no interleaving can split them:
 //!
-//! * Σ `steal_in_chunks` == Σ `steal_out_chunks`,
+//! * Σ `steal_in_chunks` == Σ `steal_out_chunks`, and both are 0 on
+//!   the claim intake (the claim CAS is the load balancer),
 //! * per home queue, `delivered_packets` + `delivery_drop_packets` ==
 //!   `captured_packets` (every captured packet reached a handler or is
 //!   explicitly counted as dropped by a forced pool stop, on the queue
@@ -18,10 +21,12 @@
 //!   stays home-pool-only).
 //!
 //! A deterministic two-thread smoke test pins down the raw deque
-//! (tier-1, run by `scripts/check.sh`), a deterministic skewed-traffic
-//! run pins that stealing actually fires, and a proptest drives
-//! randomized worker/queue/handler-latency schedules over the full
-//! pool.
+//! (tier-1, run by `scripts/check.sh`), deterministic skewed-traffic
+//! runs pin that stealing actually fires and that claim workers drain
+//! one hot queue, and one proptest per intake drives randomized
+//! worker/queue/handler-latency/pool-size schedules over the full pool,
+//! from the smallest valid pool (one spare chunk past the descriptor
+//! segments) up to the default.
 
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
@@ -36,6 +41,12 @@ use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::{steal_deque, PoolWorkerReport, Steal, WireCapConfig};
+
+/// Cells per chunk, default pool size and descriptor segments (ring
+/// size 1024 / M) of every [`run_pool`].
+const M: usize = 32;
+const R: usize = 64;
+const SEGMENTS: usize = 1024 / M;
 
 /// Deterministic two-thread deque exercise: the owner pushes and pops
 /// from the bottom while one thief steals from the top; every pushed
@@ -86,9 +97,12 @@ fn steal_smoke_two_threads_conserve_items() {
 
 /// One pool run: `total` packets spread over `flows` flows into a
 /// `queues`-queue NIC, consumed by a `workers`-worker pool whose
-/// handler sleeps `work_us` per chunk. When `force_stop` is set the
-/// pool is torn down right after the rings close instead of joining
-/// naturally, exercising the delivery-drop drain path.
+/// handler sleeps `work_us` per chunk. `concurrent` picks the claim
+/// intake over the deque intake, and `r` is the pool size in chunks
+/// (`SEGMENTS + 1 ..= R`). When `force_stop` is set the pool is torn
+/// down right after the rings close instead of joining naturally,
+/// exercising the delivery-drop drain path.
+#[allow(clippy::too_many_arguments)]
 fn run_pool(
     total: u64,
     queues: usize,
@@ -96,10 +110,13 @@ fn run_pool(
     flows: u16,
     work_us: u64,
     force_stop: bool,
+    concurrent: bool,
+    r: usize,
 ) -> (EngineSnapshot, Vec<PoolWorkerReport>, u64) {
     let nic = LiveNic::new(queues, 8192);
-    let mut cfg = WireCapConfig::basic(32, 64, 0);
+    let mut cfg = WireCapConfig::basic(M, r, 0);
     cfg.capture_timeout_ns = 1_000_000;
+    cfg.concurrent_queue = concurrent;
     let groups = BuddyGroups::single(queues);
     let group = groups.group_of(0).cloned().expect("queue 0 grouped");
     let engine = LiveWireCap::builder()
@@ -141,19 +158,38 @@ fn run_pool(
     }
     nic.stop();
 
-    // Shutdown closes the rings; the pool then drains to end-of-stream
-    // (join) or is forced down with work still queued (stop).
+    // `shutdown()` abandons whatever is still in the NIC ring, so wait
+    // until capture has taken or capture-dropped every packet: then
+    // conservation is against `total`, and a natural join delivers all
+    // of it. Shutdown closes the rings; the pool then drains to
+    // end-of-stream (join) or is forced down with work still queued
+    // (stop).
     let observer = engine.observer();
+    loop {
+        let s = observer.snapshot();
+        let seen: u64 = s
+            .queues
+            .iter()
+            .map(|q| q.captured_packets + q.capture_drop_packets)
+            .sum();
+        if seen >= total {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
     engine.shutdown();
     let reports = if force_stop { pool.stop() } else { pool.join() };
     let snap = observer.snapshot();
     (snap, reports, handled.load(Ordering::Relaxed))
 }
 
-fn assert_conserved(snap: &EngineSnapshot, total: u64) {
+fn assert_conserved(snap: &EngineSnapshot, total: u64, concurrent: bool) {
     let steal_out: u64 = snap.queues.iter().map(|q| q.steal_out_chunks).sum();
     let steal_in: u64 = snap.queues.iter().map(|q| q.steal_in_chunks).sum();
     assert_eq!(steal_out, steal_in, "steal out/in drifted: {snap:?}");
+    if concurrent {
+        assert_eq!(steal_out, 0, "the claim intake must never steal: {snap:?}");
+    }
     // Both ledgers balance per home queue, not only in sum: a stolen
     // chunk's packets and slot stay on the queue that captured them,
     // whichever worker delivers, drops or recycles it.
@@ -185,8 +221,8 @@ fn assert_conserved(snap: &EngineSnapshot, total: u64) {
 /// and conservation must survive it doing so.
 #[test]
 fn pool_steals_under_skew_and_conserves() {
-    let (snap, reports, handled) = run_pool(1_600, 2, 2, 1, 100, false);
-    assert_conserved(&snap, 1_600);
+    let (snap, reports, handled) = run_pool(1_600, 2, 2, 1, 100, false, false, R);
+    assert_conserved(&snap, 1_600, false);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered, "handler saw every delivered packet");
     assert_eq!(
@@ -207,8 +243,39 @@ fn pool_steals_under_skew_and_conserves() {
 /// delivery drops — conservation holds without a graceful drain.
 #[test]
 fn forced_pool_stop_accounts_queued_chunks_as_drops() {
-    let (snap, reports, handled) = run_pool(2_000, 2, 2, 4, 150, true);
-    assert_conserved(&snap, 2_000);
+    let (snap, reports, handled) = run_pool(2_000, 2, 2, 4, 150, true, false, R);
+    assert_conserved(&snap, 2_000, false);
+    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
+    assert_eq!(handled, delivered);
+    assert_eq!(reports.iter().map(|r| r.packets).sum::<u64>(), delivered);
+}
+
+/// Claim-intake smoke test: skewed single-flow traffic on one hot
+/// queue, three claim workers with a stall per chunk. Every worker
+/// drains the same queue, nothing is stolen, and a natural join
+/// delivers everything.
+#[test]
+fn claim_pool_drains_a_hot_queue_and_conserves() {
+    let (snap, reports, handled) = run_pool(1_600, 2, 3, 1, 120, false, true, R);
+    assert_conserved(&snap, 1_600, true);
+    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
+    assert_eq!(handled, delivered, "handler saw every delivered packet");
+    assert_eq!(
+        reports.iter().map(|r| r.packets).sum::<u64>(),
+        delivered,
+        "worker reports disagree with telemetry"
+    );
+    assert_eq!(handled, 1_600, "natural join delivers everything");
+}
+
+/// A forced stop of a claim pool drops whatever is still queued in the
+/// claim queues and accounts the drops on their home queues. Runs at
+/// the smallest valid pool: a shrunk pool must not perturb the
+/// forced-stop sweep.
+#[test]
+fn forced_claim_pool_stop_at_smallest_pool_accounts_drops() {
+    let (snap, reports, handled) = run_pool(2_000, 2, 3, 4, 150, true, true, SEGMENTS + 1);
+    assert_conserved(&snap, 2_000, true);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered);
     assert_eq!(reports.iter().map(|r| r.packets).sum::<u64>(), delivered);
@@ -270,7 +337,7 @@ fn pool_worker_serves_its_deque_oldest_first() {
     engine.shutdown();
     let reports = pool.join();
     let snap = observer.snapshot();
-    assert_conserved(&snap, total);
+    assert_conserved(&snap, total, false);
     assert_eq!(reports[0].packets, total);
 
     let seqs = seqs.lock().unwrap();
@@ -288,12 +355,39 @@ fn pool_worker_serves_its_deque_oldest_first() {
     );
 }
 
+/// One randomized pool run on the given intake, audited against the
+/// ledgers above and the workers' own reports.
+#[allow(clippy::too_many_arguments)]
+fn audit_random_pool(
+    total: u64,
+    queues: usize,
+    workers: usize,
+    flows: u16,
+    work_us: u64,
+    force_stop: bool,
+    concurrent: bool,
+    r: usize,
+) {
+    let (snap, reports, handled) =
+        run_pool(total, queues, workers, flows, work_us, force_stop, concurrent, r);
+    assert_conserved(&snap, total, concurrent);
+    let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
+    assert_eq!(handled, delivered);
+    assert_eq!(reports.iter().map(|r| r.packets).sum::<u64>(), delivered);
+    assert_eq!(reports.len(), workers);
+    if !force_stop {
+        assert_eq!(handled, total, "natural join delivers everything");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Conservation holds across randomized steal/pop/recycle
-    /// schedules: any worker count (including workers with no owned
-    /// queue), any flow spread, any handler latency.
+    /// Conservation holds across randomized steal/pop/recycle schedules
+    /// on the deque intake: any worker count (including workers with no
+    /// owned queue), any flow spread, any handler latency, graceful or
+    /// forced teardown, at any pool size from the smallest valid one up
+    /// to the default.
     #[test]
     fn pool_accounting_survives_random_interleavings(
         total in 400u64..2_500,
@@ -302,13 +396,24 @@ proptest! {
         flows in 1u16..8,
         work_us in 0u64..120,
         force_stop in any::<bool>(),
+        r in SEGMENTS + 1..=R,
     ) {
-        let (snap, reports, handled) =
-            run_pool(total, queues, workers, flows, work_us, force_stop);
-        assert_conserved(&snap, total);
-        let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
-        prop_assert_eq!(handled, delivered);
-        prop_assert_eq!(reports.iter().map(|r| r.packets).sum::<u64>(), delivered);
-        prop_assert_eq!(reports.len(), workers);
+        audit_random_pool(total, queues, workers, flows, work_us, force_stop, false, r);
+    }
+
+    /// The same audit on the claim intake: any number of workers
+    /// claiming off the same queues, any stall pattern, graceful or
+    /// forced teardown, at any pool size — and nothing is ever stolen.
+    #[test]
+    fn claim_accounting_survives_random_interleavings(
+        total in 400u64..2_500,
+        queues in 1usize..4,
+        workers in 1usize..5,
+        flows in 1u16..8,
+        work_us in 0u64..150,
+        force_stop in any::<bool>(),
+        r in SEGMENTS + 1..=R,
+    ) {
+        audit_random_pool(total, queues, workers, flows, work_us, force_stop, true, r);
     }
 }
