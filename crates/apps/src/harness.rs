@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use sim::stats::CopyMeter;
 use sim::{DropStats, SimTime};
 use std::sync::{Arc, Mutex};
-use telemetry::{EngineSnapshot, Observable, PipelineConfig, TelemetryPipeline};
+use telemetry::{EngineSnapshot, Observable, ScrapeServer};
 use traffic::TrafficSource;
 use wirecap::{WireCapConfig, WireCapEngine};
 
@@ -100,10 +100,10 @@ impl ExperimentResult {
 const ARRIVAL_BATCH: usize = 256;
 
 /// A published snapshot cell: the simulation loop refreshes it at
-/// wall-clock intervals and the telemetry pipeline (sampler + scrape
-/// endpoint) reads it from its own threads. Simulated engines are
-/// single-threaded, so this is how their state becomes observable live
-/// — the live engine's counters are shared directly instead.
+/// wall-clock intervals and the scrape endpoint reads it from its own
+/// threads. Simulated engines are single-threaded, so this is how their
+/// state becomes observable live — the live engine's counters are
+/// shared directly instead.
 struct SnapshotCell(Mutex<EngineSnapshot>);
 
 impl Observable for SnapshotCell {
@@ -113,33 +113,27 @@ impl Observable for SnapshotCell {
 }
 
 /// Telemetry attachment for one harness run, driven by the same env
-/// contract the live engine uses (`WIRECAP_TELEMETRY_LISTEN`,
-/// `WIRECAP_TELEMETRY_SAMPLE_MS`, `WIRECAP_TELEMETRY_FLIGHT_DIR`).
+/// variable the live engine reads (`WIRECAP_TELEMETRY_LISTEN`). It
+/// exists only while an endpoint is serving, so a run without one
+/// refreshes no snapshot cell.
 struct HarnessTelemetry {
     cell: Arc<SnapshotCell>,
-    pipeline: TelemetryPipeline,
+    server: ScrapeServer,
     refreshed: std::time::Instant,
 }
 
 impl HarnessTelemetry {
     /// Publish interval for the snapshot cell; finer granularity would
-    /// only burn simulation throughput on clones nobody samples.
+    /// only burn simulation throughput on clones nobody scrapes.
     const REFRESH: std::time::Duration = std::time::Duration::from_millis(10);
 
     fn start_from_env(engine: &dyn CaptureEngine) -> Option<Self> {
-        let cfg = PipelineConfig::from_env();
-        if cfg.is_inert() {
-            return None;
-        }
         let cell = Arc::new(SnapshotCell(Mutex::new(engine.snapshot())));
-        let pipeline = TelemetryPipeline::start(
-            &engine.name(),
-            Arc::clone(&cell) as Arc<dyn Observable>,
-            cfg,
-        )?;
+        let server =
+            ScrapeServer::from_env(&engine.name(), Arc::clone(&cell) as Arc<dyn Observable>)?;
         Some(HarnessTelemetry {
             cell,
-            pipeline,
+            server,
             refreshed: std::time::Instant::now(),
         })
     }
@@ -158,7 +152,7 @@ impl HarnessTelemetry {
 
     fn finish(mut self, snap: EngineSnapshot) {
         self.publish(snap);
-        self.pipeline.stop();
+        self.server.stop();
     }
 }
 
@@ -176,7 +170,7 @@ pub fn run_experiment(
     let steering: Vec<usize> = source.flows().iter().map(|f| rss.steer(f)).collect();
 
     // Live observability rides along when the telemetry env asks for it
-    // (scrape endpoint + sampler over a periodically published snapshot).
+    // (a scrape endpoint over a periodically published snapshot).
     let mut live_view = HarnessTelemetry::start_from_env(engine);
 
     // Arrivals are pulled in batches (sources backed by contiguous

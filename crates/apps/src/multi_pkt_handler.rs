@@ -10,9 +10,8 @@
 //! all queues — the advanced-mode setup of §4.
 //!
 //! The engine it starts honors the live-telemetry environment
-//! (`WIRECAP_TELEMETRY_LISTEN`, `WIRECAP_TELEMETRY_SAMPLE_MS`,
-//! `WIRECAP_TELEMETRY_FLIGHT_DIR` — DESIGN.md §4.9), so any run of
-//! this driver can be scraped while it processes.
+//! (`WIRECAP_TELEMETRY_LISTEN` — DESIGN.md §4.9), so any run of this
+//! driver can be scraped while it processes.
 
 use crate::pkt_handler::PktHandler;
 use flowstat::{merge_top_k, FlowSink, FlowSinkConfig};

@@ -155,7 +155,8 @@ pub fn latency_point(r: usize, offered_pps: u64, packets: u64) -> LatencyPoint {
     assert_eq!(delivered, packets, "latency point delivered every packet");
 
     // Engine-wide latency distribution: per-queue histograms merged,
-    // quantiles interpolated (exactly what `SeriesSample` gauges).
+    // quantiles interpolated (what `EngineSnapshot::total` reports as
+    // `latency_p999_ns`).
     let mut latency = HistogramSnapshot::default();
     for q in &snap.queues {
         latency.merge(&q.latency_ns);

@@ -11,8 +11,8 @@
 //!   boundaries, every emitted file self-contained;
 //! * [`sink`] — the per-queue drainer/writer thread pairs with a
 //!   bounded handoff ring and the graceful-degradation drop policy
-//!   (`disk_drop_packets` + the telemetry "writer falling behind"
-//!   anomaly), attached to a running [`wirecap::live::LiveWireCap`].
+//!   (every shed packet counted in `disk_drop_packets`), attached to a
+//!   running [`wirecap::live::LiveWireCap`].
 //!
 //! The design invariant: **the disk can be arbitrarily slow and the
 //! capture path never blocks** — a full handoff ring sheds chunks from

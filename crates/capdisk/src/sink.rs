@@ -23,11 +23,9 @@
 //! fills, and the drainer **drops the chunk for the disk leg only**:
 //! the packets count into `disk_drop_packets`, the chunk recycles
 //! immediately, and capture continues at full speed. The capture
-//! thread is never blocked and never even knows the sink exists. The
-//! anomaly detector turns a sustained nonzero disk-drop rate into a
-//! "writer falling behind" episode (one flight-recorder dump per
-//! episode), so degradation is loud in telemetry while invisible to
-//! capture.
+//! thread is never blocked and never even knows the sink exists. Every
+//! shed packet shows in the next `/metrics` scrape, so degradation is
+//! loud in telemetry while invisible to capture.
 //!
 //! Conservation is exact by construction: every chunk the drainer
 //! receives is either encoded (counted into `disk_written_packets`) or

@@ -62,11 +62,6 @@ pub struct WireCapConfig {
     /// clock reads, no per-stage histograms, no worker time-state
     /// profiling. `1` traces every chunk.
     pub span_sample_n: u32,
-    /// Tail-latency SLO in nanoseconds: when set, the telemetry
-    /// sampler's anomaly detector fires (and freezes a flight record)
-    /// on sustained engine-wide p99.9 capture-to-delivery latency
-    /// above this bound. `None` disables the rule.
-    pub latency_slo_ns: Option<u64>,
     /// The application model (one `pkt_handler` thread per queue).
     pub app: AppModel,
 }
@@ -93,7 +88,6 @@ impl WireCapConfig {
             pin_threads: false,
             concurrent_queue: false,
             span_sample_n: 0,
-            latency_slo_ns: None,
             app: AppModel {
                 cpu: CpuModel::default(),
                 x,
@@ -351,14 +345,6 @@ impl WireCapConfigBuilder {
         self
     }
 
-    /// Tail-latency SLO: the sampler's anomaly detector fires (and
-    /// freezes a flight record) on sustained engine-wide p99.9
-    /// capture-to-delivery latency above `ns`.
-    pub fn latency_slo_ns(mut self, ns: u64) -> Self {
-        self.cfg.latency_slo_ns = Some(ns);
-        self
-    }
-
     /// BPF repetitions x per packet in the application model.
     pub fn bpf_repetitions(mut self, x: u32) -> Self {
         self.cfg.app.x = x;
@@ -494,21 +480,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_polling_pinning_and_slo() {
+    fn builder_sets_polling_and_pinning() {
         let cfg = WireCapConfig::builder()
             .yield_iters(5)
             .park_timeout_ns(500_000)
             .pin_threads(true)
-            .latency_slo_ns(2_000_000)
             .build()
             .unwrap();
         assert_eq!(cfg.yield_iters, 5);
         assert_eq!(cfg.park_timeout_ns, 500_000);
         assert!(cfg.pin_threads);
-        assert_eq!(cfg.latency_slo_ns, Some(2_000_000));
         let basic = WireCapConfig::basic(64, 32, 0);
         assert!(!basic.pin_threads);
-        assert_eq!(basic.latency_slo_ns, None);
     }
 
     #[test]

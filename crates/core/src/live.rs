@@ -62,8 +62,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use telemetry::{
-    clock, kind, EngineSnapshot, Observable, PipelineConfig, QueueTelemetry, Registry, SpanRecord,
-    SpanStamps, TelemetryPipeline, TraceEvent,
+    clock, kind, EngineSnapshot, Observable, QueueTelemetry, Registry, ScrapeServer, SpanRecord,
+    SpanStamps,
 };
 
 /// Packets pulled from the NIC queue per batch.
@@ -248,15 +248,15 @@ pub struct LiveWireCap {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     stop: Arc<AtomicBool>,
-    /// Sampler + scrape endpoint, attached from the environment
-    /// (`WIRECAP_TELEMETRY_LISTEN` / `WIRECAP_TELEMETRY_SAMPLE_MS`).
-    pipeline: Option<TelemetryPipeline>,
+    /// Scrape endpoint, attached from the environment
+    /// (`WIRECAP_TELEMETRY_LISTEN`).
+    scrape: Option<ScrapeServer>,
 }
 
 /// A cheap, thread-safe observer handle over a running [`LiveWireCap`]:
-/// what the telemetry sampler and scrape endpoint hold. Keeps only the
-/// shared state alive — not the capture threads — so observation never
-/// extends the engine's lifetime.
+/// what the scrape endpoint holds. Keeps only the shared state alive —
+/// not the capture threads — so observation never extends the engine's
+/// lifetime.
 struct LiveObserver {
     shared: Arc<Shared>,
     backend: Arc<dyn CaptureBackend>,
@@ -266,10 +266,6 @@ struct LiveObserver {
 impl Observable for LiveObserver {
     fn snapshot(&self) -> EngineSnapshot {
         engine_snapshot(&self.shared, self.backend.as_ref(), &self.cfg)
-    }
-
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        self.shared.tel.tracer().events()
     }
 
     fn spans(&self) -> Vec<SpanRecord> {
@@ -327,29 +323,15 @@ impl LiveWireCap {
                     .collect()
             }),
         });
-        // Live observability (DESIGN.md §4.9): sampler thread + scrape
-        // endpoint, attached only when the telemetry env asks for them.
-        // The anomaly detector's queue-depth limit comes from the
-        // engine's own offloading threshold T — a capture queue
-        // sustained above T means offloading has stopped keeping up.
-        let mut pcfg = PipelineConfig::from_env();
-        if let (Some(anom), Some(t)) = (pcfg.anomaly.as_mut(), cfg.threshold) {
-            anom.queue_depth_limit = Some((t * cfg.capture_queue_capacity() as f64).ceil() as u64);
-        }
-        // Tail latency as a first-class SLO: a configured p99.9 budget
-        // becomes a hysteretic anomaly condition, so a sustained
-        // regression freezes a flight record like any other anomaly.
-        if let (Some(anom), Some(slo)) = (pcfg.anomaly.as_mut(), cfg.latency_slo_ns) {
-            anom.tail_latency_ns = Some(slo);
-        }
-        let pipeline = TelemetryPipeline::start(
+        // Live observability (DESIGN.md §4.9): a scrape endpoint,
+        // attached only when the telemetry env asks for one.
+        let scrape = ScrapeServer::from_env(
             &cfg.name(),
             Arc::new(LiveObserver {
                 shared: Arc::clone(&shared),
                 backend: Arc::clone(&backend),
                 cfg,
             }),
-            pcfg,
         );
         let stop = Arc::new(AtomicBool::new(false));
         let threads = freelists
@@ -372,7 +354,7 @@ impl LiveWireCap {
             shared,
             threads,
             stop,
-            pipeline,
+            scrape,
         }
     }
 
@@ -478,7 +460,7 @@ impl LiveWireCap {
         }
     }
 
-    /// An [`Observable`] handle for external samplers / scrape servers.
+    /// An [`Observable`] handle for external scrape servers.
     /// Holds only the shared telemetry state, never the threads.
     pub fn observer(&self) -> Arc<dyn Observable> {
         Arc::new(LiveObserver {
@@ -488,16 +470,10 @@ impl LiveWireCap {
         })
     }
 
-    /// The attached telemetry pipeline, when the environment requested
-    /// one at start (`WIRECAP_TELEMETRY_LISTEN` etc.).
-    pub fn telemetry_pipeline(&self) -> Option<&TelemetryPipeline> {
-        self.pipeline.as_ref()
-    }
-
     /// The scrape endpoint's bound address, when one is serving —
     /// resolves `WIRECAP_TELEMETRY_LISTEN=127.0.0.1:0` ephemeral ports.
     pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {
-        self.pipeline.as_ref().and_then(TelemetryPipeline::addr)
+        self.scrape.as_ref().map(ScrapeServer::addr)
     }
 
     /// Stops the capture threads (consumers should be joined first) and
@@ -510,10 +486,10 @@ impl LiveWireCap {
         for t in self.threads.drain(..) {
             t.join().expect("capture thread panicked");
         }
-        // Stop the pipeline after the capture threads so its final
-        // sampler tick sees the end-of-run counters.
-        if let Some(mut p) = self.pipeline.take() {
-            p.stop();
+        // Stop the endpoint after the capture threads, so a scrape
+        // racing shutdown still sees the end-of-run counters.
+        if let Some(mut s) = self.scrape.take() {
+            s.stop();
         }
     }
 }
@@ -534,12 +510,6 @@ fn queue_telemetry(
     if let Some(claims) = shared.claims.as_ref() {
         t.capture_queue_len += claims[q].len() as u64;
     }
-    // The watermark is also advanced by readers: every snapshot (and so
-    // every sampler tick) folds the current depth in, which covers
-    // basic mode, where the capture path makes no placement decisions.
-    let wm = &shared.tel.queue(q).capture_queue_watermark;
-    wm.observe(t.capture_queue_len);
-    t.capture_queue_watermark = wm.get();
     // Chunks not currently sealed-and-outstanding are free (the one
     // being filled counts as free here; the gauge is approximate while
     // threads run).
@@ -928,6 +898,11 @@ fn wall_ns() -> u64 {
 /// In concurrent single-queue mode the claim queues replace the rings;
 /// each is sized `queues × R` (every chunk in existence fits), so the
 /// defensive full-queue spin can never engage.
+///
+/// The writer charges the target's `capture_queue_watermark` with the
+/// depth it just published into — once per flush, never per packet —
+/// so a snapshot only reads it. In advanced mode the placement in
+/// [`stage`] also charges it with the depth summed over every producer.
 fn flush(shared: &Shared, st: &mut CaptureState) {
     let q = st.q;
     let cap = &shared.tel.queue(q).cap;
@@ -960,6 +935,11 @@ fn flush(shared: &Shared, st: &mut CaptureState) {
                     std::thread::yield_now();
                 }
             }
+            shared
+                .tel
+                .queue(target)
+                .capture_queue_watermark
+                .observe(claims[target].len() as u64);
         }
         if published {
             shared.delivery_gate.notify();
@@ -967,8 +947,12 @@ fn flush(shared: &Shared, st: &mut CaptureState) {
         return;
     }
     for (target, staged) in st.outbox.iter_mut().enumerate() {
+        if staged.is_empty() {
+            continue;
+        }
+        let ring = &shared.rings[target][q];
         while !staged.is_empty() {
-            let pushed = shared.rings[target][q].push_batch(staged);
+            let pushed = ring.push_batch(staged);
             if pushed == 0 {
                 std::thread::yield_now();
             } else {
@@ -976,6 +960,11 @@ fn flush(shared: &Shared, st: &mut CaptureState) {
                 published = true;
             }
         }
+        shared
+            .tel
+            .queue(target)
+            .capture_queue_watermark
+            .observe(ring.len() as u64);
     }
     if published {
         // One cheap notify per flush (a relaxed load when nobody is

@@ -160,10 +160,13 @@ impl Watermark {
         Self::default()
     }
 
-    /// Raises the watermark to at least `v` (relaxed `fetch_max`).
+    /// Raises the watermark to at least `v` (relaxed `fetch_max`). A
+    /// value at or below the mark costs one relaxed load, no RMW.
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
+        if v > self.0.load(Ordering::Relaxed) {
+            self.0.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Highest value observed so far.

@@ -24,7 +24,9 @@
 //!   every engine (live, simulated, and the baseline models) returns
 //!   from `CaptureEngine::telemetry(q)`, serializable to JSON and
 //!   Prometheus text exposition, served live by the [`scrape`]
-//!   endpoint and frozen into [`flight`] records on anomalies.
+//!   endpoint. Observation is pull-only: a scraper reads a snapshot
+//!   when it asks for one, and computes rates from the `/metrics`
+//!   counters itself; nothing inside the engine samples on a timer.
 //!
 //! The naming scheme (the single drop-accounting vocabulary, DESIGN.md
 //! §4.8): packet counters end in `_packets`, chunk counters in
@@ -37,34 +39,24 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod anomaly;
 pub mod clock;
 pub mod counters;
-pub mod flight;
 pub mod hist;
-pub mod pipeline;
 pub mod registry;
-pub mod sampler;
 pub mod scrape;
 pub mod snapshot;
 pub mod spans;
-pub mod timeseries;
 pub mod trace;
 
-pub use anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
 pub use counters::{
     CaptureSide, Counter, DeliverySide, DiskSide, Gauge, PeerSide, PoolSide, QueueCounters,
 };
-pub use flight::{FlightEvent, FlightRecord};
 pub use hist::{HistogramSnapshot, Log2Histogram, RunRecorder, BUCKETS};
-pub use pipeline::{PipelineConfig, TelemetryPipeline};
 pub use registry::Registry;
-pub use sampler::{Observable, Sampler, SamplerConfig, SamplerCore, SamplerState};
-pub use scrape::ScrapeServer;
+pub use scrape::{Observable, ScrapeServer};
 pub use snapshot::{EngineSnapshot, QueueTelemetry, TuningTelemetry};
 pub use spans::{
     chrome_trace_json, SpanRecord, SpanRing, SpanStamps, WorkerState, WorkerTelemetry,
     WorkerTimeState, DEFAULT_SPAN_CAPACITY,
 };
-pub use timeseries::{Rates, SeriesSample, TimeSeriesRing};
 pub use trace::{kind, EventTracer, TraceEvent};

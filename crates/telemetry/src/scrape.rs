@@ -6,8 +6,6 @@
 //! * `GET /metrics` — Prometheus text exposition
 //!   ([`crate::EngineSnapshot::to_prometheus`]);
 //! * `GET /snapshot.json` — the unified snapshot JSON;
-//! * `GET /series.json` — the sampler's time-series window and derived
-//!   rates (`404` when no sampler is attached);
 //! * `GET /trace.json` — the completed-span ring plus worker
 //!   time-state totals as Chrome trace-event JSON, loadable directly
 //!   in `chrome://tracing` / Perfetto (an empty event array when span
@@ -27,8 +25,18 @@
 //! them. This is deliberately *not* a general HTTP server: requests
 //! beyond a line + headers are ignored, keep-alive is not offered, and
 //! responses close the connection.
+//!
+//! Observation is pull-only: the endpoint takes a snapshot when a
+//! client asks for one, and nothing samples on a timer. A scraper that
+//! wants rates computes them from two `/metrics` readings.
+//!
+//! [`ScrapeServer::from_env`] is how engines and harnesses attach it:
+//! `WIRECAP_TELEMETRY_LISTEN` names the bind address (e.g.
+//! `127.0.0.1:9184`; port `0` for ephemeral). Unset or empty: no
+//! endpoint and no thread.
 
-use crate::sampler::{Observable, SamplerCore};
+use crate::snapshot::EngineSnapshot;
+use crate::spans::SpanRecord;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,6 +44,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// A telemetry-observable engine: anything that can produce the
+/// unified snapshot (and, optionally, its completed-span ring) on
+/// demand, from any thread.
+pub trait Observable: Send + Sync {
+    /// A full point-in-time snapshot.
+    fn snapshot(&self) -> EngineSnapshot;
+
+    /// The retained completed-span ring (sampled chunk lifecycles),
+    /// oldest first. Engines without span tracing (or with
+    /// `span_sample_n == 0`) return an empty vector.
+    fn spans(&self) -> Vec<SpanRecord> {
+        Vec::new()
+    }
+}
 
 /// Fixed number of connection-serving worker threads. Sized so a
 /// handful of stalled clients (each parked inside its 500 ms read
@@ -75,14 +98,32 @@ impl std::fmt::Debug for ScrapeServer {
 }
 
 impl ScrapeServer {
+    /// Serves `observer` on `WIRECAP_TELEMETRY_LISTEN` when it is set
+    /// and non-empty. `None` — and no thread started — when it is
+    /// unset, the common case, or when the bind fails (logged).
+    pub fn from_env(engine: &str, observer: Arc<dyn Observable>) -> Option<ScrapeServer> {
+        let addr = std::env::var("WIRECAP_TELEMETRY_LISTEN")
+            .ok()
+            .filter(|s| !s.is_empty())?;
+        match ScrapeServer::bind(&addr, observer) {
+            Ok(s) => {
+                eprintln!(
+                    "wirecap telemetry: {engine}: serving http://{}/metrics",
+                    s.addr()
+                );
+                Some(s)
+            }
+            Err(e) => {
+                eprintln!("wirecap telemetry: {engine}: binding {addr}: {e}");
+                None
+            }
+        }
+    }
+
     /// Binds `addr` (e.g. `127.0.0.1:9184`; port `0` picks an
     /// ephemeral port — read it back with [`ScrapeServer::addr`]) and
-    /// starts serving `observer`. `sampler` adds `/series.json`.
-    pub fn bind(
-        addr: &str,
-        observer: Arc<dyn Observable>,
-        sampler: Option<Arc<SamplerCore>>,
-    ) -> std::io::Result<ScrapeServer> {
+    /// starts serving `observer`.
+    pub fn bind(addr: &str, observer: Arc<dyn Observable>) -> std::io::Result<ScrapeServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -103,7 +144,6 @@ impl ScrapeServer {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
             let observer = Arc::clone(&observer);
-            let sampler = sampler.clone();
             let served = Arc::clone(&served);
             let active = Arc::clone(&active);
             let peak_active = Arc::clone(&peak_active);
@@ -132,7 +172,7 @@ impl ScrapeServer {
                         };
                         let now = active.fetch_add(1, Ordering::Relaxed) + 1;
                         peak_active.fetch_max(now, Ordering::Relaxed);
-                        if serve_one(stream, observer.as_ref(), sampler.as_deref()).is_ok() {
+                        if serve_one(stream, observer.as_ref()).is_ok() {
                             served.fetch_add(1, Ordering::Relaxed);
                         }
                         active.fetch_sub(1, Ordering::Relaxed);
@@ -236,11 +276,7 @@ impl Drop for ScrapeServer {
 }
 
 /// Reads one request, routes it, writes one response, closes.
-fn serve_one(
-    mut stream: TcpStream,
-    observer: &dyn Observable,
-    sampler: Option<&SamplerCore>,
-) -> std::io::Result<()> {
+fn serve_one(mut stream: TcpStream, observer: &dyn Observable) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let path = match read_request_path(&mut stream) {
@@ -259,23 +295,6 @@ fn serve_one(
             let body = observer.snapshot().to_json() + "\n";
             write_response(&mut stream, 200, "application/json", &body)
         }
-        "/series.json" => match sampler {
-            Some(core) => match series_json(core) {
-                Ok(body) => write_response(&mut stream, 200, "application/json", &body),
-                Err(e) => {
-                    // Serialization failure is a server bug worth a
-                    // status code, not a panic in a worker thread.
-                    eprintln!("wirecap telemetry: series serialization: {e}");
-                    write_response(
-                        &mut stream,
-                        500,
-                        "text/plain",
-                        "series serialization failed\n",
-                    )
-                }
-            },
-            None => write_response(&mut stream, 404, "text/plain", "no sampler attached\n"),
-        },
         "/trace.json" => {
             // Always a well-formed Chrome trace-event array — empty
             // (metadata-only) when span tracing is off — so tooling can
@@ -287,25 +306,6 @@ fn serve_one(
         "/healthz" => write_response(&mut stream, 200, "text/plain", "ok\n"),
         _ => write_response(&mut stream, 404, "text/plain", "not found\n"),
     }
-}
-
-/// The `/series.json` document: retained samples plus derived rates.
-fn series_json(core: &SamplerCore) -> Result<String, serde_json::JsonError> {
-    let doc = SeriesDoc {
-        samples: core.samples(),
-        anomalies: core.anomalies(),
-        series: core.series(),
-        rates: core.rates(),
-    };
-    Ok(serde_json::to_string_pretty(&doc)? + "\n")
-}
-
-#[derive(serde::Serialize)]
-struct SeriesDoc {
-    samples: u64,
-    anomalies: u64,
-    series: Vec<crate::timeseries::SeriesSample>,
-    rates: Vec<crate::timeseries::Rates>,
 }
 
 /// Parses the request line (`GET <path> HTTP/1.x`) from the stream.
@@ -346,7 +346,6 @@ fn write_response(
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
-        500 => "Internal Server Error",
         _ => "Not Found",
     };
     let head = format!(
@@ -400,7 +399,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_snapshot_and_404() {
-        let mut server = ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed), None).unwrap();
+        let mut server = ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
         let addr = server.addr();
         let (status, metrics) = get(addr, "/metrics");
         assert_eq!(status, 200);
@@ -412,8 +411,6 @@ mod tests {
         assert_eq!(parsed.engine, "scrape-test");
         let (status, _) = get(addr, "/nope");
         assert_eq!(status, 404);
-        let (status, _) = get(addr, "/series.json");
-        assert_eq!(status, 404, "no sampler attached");
         let (status, trace) = get(addr, "/trace.json");
         assert_eq!(status, 200);
         let parsed: serde::Value = serde_json::from_str(trace.trim()).unwrap();
@@ -435,30 +432,8 @@ mod tests {
     }
 
     #[test]
-    fn serves_series_when_sampler_attached() {
-        use crate::sampler::{SamplerConfig, SamplerState};
-        let mut st = SamplerState::new(
-            Arc::new(Fixed),
-            SamplerConfig {
-                anomaly: None,
-                ..Default::default()
-            },
-        );
-        st.tick();
-        std::thread::sleep(Duration::from_millis(1));
-        st.tick();
-        let mut server =
-            ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed), Some(st.core())).unwrap();
-        let (status, body) = get(server.addr(), "/series.json");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"series\""), "{body}");
-        assert!(body.contains("\"captured_pps\""), "{body}");
-        server.stop();
-    }
-
-    #[test]
     fn slow_client_does_not_delay_healthz() {
-        let mut server = ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed), None).unwrap();
+        let mut server = ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
         let addr = server.addr();
         // A deliberately slow client: connects, sends nothing, and
         // holds the connection open. Before per-connection workers,
@@ -487,7 +462,7 @@ mod tests {
         // the fixed pool serves them from the bounded queue, and the
         // high-water mark of concurrent serving can never exceed the
         // pool size.
-        let mut server = ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed), None).unwrap();
+        let mut server = ScrapeServer::bind("127.0.0.1:0", Arc::new(Fixed)).unwrap();
         let addr = server.addr();
         let clients: Vec<_> = (0..64)
             .map(|_| std::thread::spawn(move || get(addr, "/healthz")))

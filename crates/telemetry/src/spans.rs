@@ -15,7 +15,7 @@
 //!
 //! Completed records land in a bounded [`SpanRing`] (newest-wins, the
 //! same retention shape as [`crate::trace::EventTracer`]) and feed
-//! three consumers:
+//! two consumers:
 //!
 //! * per-stage `Log2Histogram`s in the snapshot / Prometheus schema
 //!   (`stage_backend_ns`, `stage_queue_wait_ns`, `stage_claim_ns`,
@@ -23,9 +23,7 @@
 //! * the `/trace.json` scrape route, which renders the ring as Chrome
 //!   trace-event JSON ([`chrome_trace_json`]) loadable in
 //!   `chrome://tracing` / Perfetto — one track per queue, one per pool
-//!   worker;
-//! * anomaly flight records, which freeze the ring next to the event
-//!   tracer so a drop-spike episode ships with its timeline.
+//!   worker.
 //!
 //! Cost contract: an unsampled chunk pays exactly one branch at seal.
 //! A sampled chunk pays a handful of `u64` stores at boundaries it was

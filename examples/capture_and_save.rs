@@ -15,9 +15,9 @@
 //! ```
 //!
 //! Watch it live: `WIRECAP_TELEMETRY_LISTEN=127.0.0.1:9184` exposes the
-//! `disk_written_packets` / `disk_drop_packets` counters on `/metrics`,
-//! and a sustained disk-drop rate raises the telemetry "writer falling
-//! behind" anomaly.
+//! `disk_written_packets` / `disk_drop_packets` counters on `/metrics`;
+//! a climbing `disk_drop_packets` between two scrapes is the writer
+//! falling behind.
 
 use capdisk::{read_pcapng, DiskSinkConfig, RotationPolicy, SinkMode};
 use netproto::{FlowKey, PacketBuilder};

@@ -12,9 +12,9 @@
 //! ```
 //!
 //! Watch it live: `WIRECAP_TELEMETRY_LISTEN=127.0.0.1:9184` serves
-//! `/metrics`, `/snapshot.json` and `/series.json` over HTTP for the
-//! duration of the run (DESIGN.md §4.9); `WIRECAP_TELEMETRY_SAMPLE_MS=0`
-//! disables the sampler thread for latency-critical runs.
+//! `/metrics`, `/snapshot.json` and `/trace.json` over HTTP for the
+//! duration of the run (DESIGN.md §4.9). Each request takes one
+//! snapshot; nothing samples the engine in the background.
 
 use netproto::{FlowKey, Packet, PacketBuilder};
 use nicsim::livenic::LiveNic;

@@ -13,7 +13,8 @@
 //! ```
 //!
 //! Like every engine run, it serves live telemetry when
-//! `WIRECAP_TELEMETRY_LISTEN` is set (DESIGN.md §4.9).
+//! `WIRECAP_TELEMETRY_LISTEN` is set (DESIGN.md §4.9); without it the
+//! engine runs its capture thread and nothing else.
 
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;

@@ -6,7 +6,8 @@
 //! still mentions a retired name (the bench, its artifact, the poller's
 //! deleted spin stage and its knob, the deleted pool-tuning layer, the
 //! merged pool loop, the deleted snapshot dump and its variables, the
-//! deleted in-order delivery mode), and
+//! deleted in-order delivery mode, the deleted sampler and everything
+//! it fed), and
 //! every name the EXPERIMENTS.md disposition table sends a reader to
 //! exists.
 
@@ -81,6 +82,19 @@ fn nothing_current_cites_a_retired_name() {
         concat!("concurrent_", "ordered"),
         concat!("inorder_", "conservation"),
         concat!("run_", "concurrent_flows"),
+        // The deleted push-model telemetry: sampler thread, time series,
+        // anomaly detector, flight recorder, their variables and knob.
+        concat!("WIRECAP_TELEMETRY_SAMPLE", "_MS"),
+        concat!("WIRECAP_TELEMETRY_FLIGHT", "_DIR"),
+        concat!("Telemetry", "Pipeline"),
+        concat!("Pipeline", "Config"),
+        concat!("Sampler", "Core"),
+        concat!("TimeSeries", "Ring"),
+        concat!("Anomaly", "Detector"),
+        concat!("Flight", "Record"),
+        concat!("series", ".json"),
+        concat!("latency_slo", "_ns"),
+        concat!("timeseries", "_props"),
     ];
     let history = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].map(|f| repo().join(f));
 

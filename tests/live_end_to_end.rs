@@ -292,3 +292,64 @@ fn app_level_steering_over_live_capture() {
         .count();
     assert!(used > 4, "only {used} app queues used");
 }
+
+/// Waits until the capture thread has popped everything queued on the
+/// NIC's queue `q`.
+fn wait_nic_drained(nic: &Arc<LiveNic>, q: usize) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while nic.queue(q).depth() > 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "NIC queue never drained"
+        );
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn basic_mode_capture_path_charges_the_watermark() {
+    // Basic mode makes no placement decisions, so only the capture
+    // thread's publish can charge the capture-queue watermark; a
+    // snapshot reads it and never writes it.
+    let nic = LiveNic::new(1, 4096);
+    let mut cfg = cfg();
+    cfg.capture_timeout_ns = 1_000_000_000;
+    let engine = LiveWireCap::builder()
+        .backend(NicSimBackend::new(Arc::clone(&nic)))
+        .config(cfg)
+        .groups(BuddyGroups::isolated(1))
+        .start();
+    let observer = engine.observer();
+
+    // A backlog with nothing consuming: six chunks' worth of packets
+    // seal at least five chunks (at most one idle hand-off partial,
+    // at most one chunk still filling). A second, one-packet burst
+    // drains only after the round that drained the first has flushed.
+    inject_flows(&nic, 6 * 64, 1);
+    wait_nic_drained(&nic, 0);
+    inject_flows(&nic, 1, 1);
+    wait_nic_drained(&nic, 0);
+
+    let consumer = {
+        let mut c = engine.consumer(0);
+        std::thread::spawn(move || {
+            let mut n = 0u64;
+            while let Some(chunk) = c.next_chunk() {
+                n += chunk.len() as u64;
+                c.recycle(chunk);
+            }
+            n
+        })
+    };
+    nic.stop();
+    assert_eq!(consumer.join().unwrap(), 6 * 64 + 1);
+    engine.shutdown();
+
+    let q = &observer.snapshot().queues[0];
+    assert_eq!(q.capture_queue_len, 0, "drained");
+    assert!(
+        q.capture_queue_watermark >= 4,
+        "a backlog of >= 4 chunks must show in the watermark: {}",
+        q.capture_queue_watermark
+    );
+}

@@ -368,8 +368,9 @@ fn audit_random_pool(
     concurrent: bool,
     r: usize,
 ) {
-    let (snap, reports, handled) =
-        run_pool(total, queues, workers, flows, work_us, force_stop, concurrent, r);
+    let (snap, reports, handled) = run_pool(
+        total, queues, workers, flows, work_us, force_stop, concurrent, r,
+    );
     assert_conserved(&snap, total, concurrent);
     let delivered: u64 = snap.queues.iter().map(|q| q.delivered_packets).sum();
     assert_eq!(handled, delivered);

@@ -4,10 +4,8 @@
 //! an ephemeral port, scraped over a plain [`TcpStream`] while traffic
 //! flows: `/metrics` must render valid Prometheus text exposition and
 //! `/snapshot.json` the unified snapshot schema, both carrying the
-//! run's real counters. A second test pins the escape hatch: with the
-//! sampler disabled (`WIRECAP_TELEMETRY_SAMPLE_MS=0`) the engine still
-//! captures and the endpoint still serves direct snapshots — only the
-//! sampled series goes away.
+//! run's real counters. Observation is pull-only: with no telemetry env
+//! an engine starts its capture threads and nothing else.
 //!
 //! The engine reads its telemetry configuration from the environment at
 //! start, so the env-touching tests serialize on one lock (integration
@@ -24,7 +22,8 @@ use wirecap::live::LiveWireCap;
 use wirecap::NicSimBackend;
 use wirecap::WireCapConfig;
 
-/// Serializes tests that mutate the `WIRECAP_TELEMETRY_*` environment.
+/// Serializes tests that mutate the `WIRECAP_TELEMETRY_LISTEN` environment
+/// (and so also the engines whose threads one test counts).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Scoped environment override: sets on construction, restores on drop
@@ -85,7 +84,6 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 fn scrape_endpoint_serves_a_live_run() {
     let _env = ENV_LOCK.lock().unwrap();
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "127.0.0.1:0");
-    let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "5");
 
     let nic = LiveNic::new(1, 4096);
     let mut cfg = WireCapConfig::basic(64, 32, 0);
@@ -159,11 +157,6 @@ fn scrape_endpoint_serves_a_live_run() {
         "latency histogram populated by the run"
     );
 
-    // The sampler was live too: the series document reflects it.
-    let (status, body) = http_get(addr, "/series.json");
-    assert_eq!(status, "HTTP/1.1 200 OK");
-    assert!(body.contains("\"samples\""), "series doc: {body}");
-
     let (status, _) = http_get(addr, "/nope");
     assert_eq!(status, "HTTP/1.1 404 Not Found");
 
@@ -176,7 +169,6 @@ fn scrape_endpoint_serves_a_live_run() {
 fn trace_json_serves_chrome_trace_events_from_a_live_run() {
     let _env = ENV_LOCK.lock().unwrap();
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "127.0.0.1:0");
-    let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "0");
 
     let nic = LiveNic::new(1, 4096);
     let cfg = WireCapConfig::builder()
@@ -260,9 +252,10 @@ fn trace_json_serves_chrome_trace_events_from_a_live_run() {
 
 #[test]
 fn sampler_escape_hatch_still_captures_and_serves() {
+    // An endpoint-only engine end to end: nothing samples in the
+    // background, yet every route a scraper reads serves the run.
     let _env = ENV_LOCK.lock().unwrap();
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "127.0.0.1:0");
-    let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "0");
 
     let nic = LiveNic::new(1, 4096);
     let mut cfg = WireCapConfig::basic(64, 32, 0);
@@ -272,7 +265,7 @@ fn sampler_escape_hatch_still_captures_and_serves() {
         .config(cfg)
         .groups(BuddyGroups::isolated(1))
         .start();
-    let addr = engine.telemetry_addr().expect("endpoint without sampler");
+    let addr = engine.telemetry_addr().expect("endpoint requested");
 
     let consumer = {
         let mut c = engine.consumer(0);
@@ -287,32 +280,77 @@ fn sampler_escape_hatch_still_captures_and_serves() {
     };
     inject_flows(&nic, 1_000);
     nic.stop();
-    assert_eq!(consumer.join().unwrap(), 1_000, "sampler off, capture on");
+    assert_eq!(consumer.join().unwrap(), 1_000, "endpoint on, capture on");
 
-    // Direct snapshots still serve; the sampled series does not exist.
-    let (status, _) = http_get(addr, "/metrics");
+    // Pulled on demand: two scrapes, and the counters they read are the
+    // run's, so a scraper can difference them into rates itself.
+    let (status, prom) = http_get(addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    let (status, _) = http_get(addr, "/series.json");
-    assert_eq!(status, "HTTP/1.1 404 Not Found");
+    assert!(
+        prom.lines()
+            .any(|l| l.starts_with("wirecap_delivered_packets_total{") && l.ends_with("} 1000")),
+        "whole-run counter:\n{prom}"
+    );
+    let (status, body) = http_get(addr, "/snapshot.json");
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let snap: telemetry::EngineSnapshot = serde_json::from_str(&body).unwrap();
+    assert_eq!(snap.total().captured_packets, 1_000);
+    assert_eq!(snap.total().delivered_packets, 1_000);
+    let (status, _) = http_get(addr, "/healthz");
+    assert_eq!(status, "HTTP/1.1 200 OK");
 
     engine.shutdown();
+}
+
+/// The names (`comm`, truncated by the kernel to 15 bytes) of every
+/// thread of this process.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("reading /proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|c| c.trim_end().to_string())
+        .collect()
 }
 
 #[test]
 fn no_telemetry_env_means_no_endpoint() {
     let _env = ENV_LOCK.lock().unwrap();
     let _listen = EnvGuard::set("WIRECAP_TELEMETRY_LISTEN", "");
-    let _sample = EnvGuard::set("WIRECAP_TELEMETRY_SAMPLE_MS", "0");
 
-    let nic = LiveNic::new(1, 1024);
+    const QUEUES: usize = 2;
+    let nic = LiveNic::new(QUEUES, 1024);
     let mut cfg = WireCapConfig::basic(64, 32, 0);
     cfg.capture_timeout_ns = 1_500_000;
     let engine = LiveWireCap::builder()
         .backend(NicSimBackend::new(Arc::clone(&nic)))
         .config(cfg)
-        .groups(BuddyGroups::isolated(1))
+        .groups(BuddyGroups::isolated(QUEUES))
         .start();
     assert!(engine.telemetry_addr().is_none(), "inert env, no endpoint");
+
+    // One capture thread per queue and nothing more: no sampler, no
+    // scrape workers. Every other engine in this binary is started and
+    // shut down under the same lock, so these are this engine's threads.
+    // A new thread names itself once it runs, so wait for the names.
+    let capturing = |names: &[String]| {
+        names
+            .iter()
+            .filter(|n| n.starts_with("wirecap-capture"))
+            .count()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut names = thread_names();
+    while capturing(&names) < QUEUES && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+        names = thread_names();
+    }
+    assert_eq!(capturing(&names), QUEUES, "threads: {names:?}");
+    assert!(
+        !names
+            .iter()
+            .any(|n| n == "wirecap-sampler" || n.starts_with("wirecap-scrape")),
+        "threads: {names:?}"
+    );
     nic.stop();
     engine.shutdown();
 }
