@@ -9,6 +9,23 @@
 //! a payload — they write packet bytes into a cell and move an affine
 //! *slot token* between threads.
 //!
+//! # Cell layout
+//!
+//! The capture path touches each cell of a chunk once per packet, so the
+//! layout is chosen for that walk:
+//!
+//! * cells start `cell_bytes` rounded up to a cache line, plus one line,
+//!   apart (2,112 B for the shipped 2,048 B cell). At a power-of-two
+//!   stride every cell's first line would fall into the same few L1
+//!   sets; at an odd number of lines the 64 cells of a chunk begin in
+//!   64 distinct sets. The extra line is padding and holds nothing;
+//! * the payload buffer is one anonymous mapping whose start is rounded
+//!   up to 2 MiB, and its whole 2 MiB pages are advised as transparent
+//!   huge pages, so a chunk's cells share one dTLB entry instead of one
+//!   per two cells. Where THP is off the advice fails silently and the
+//!   arena runs on 4 KiB pages. The kernel zeroes pages on first touch,
+//!   so construction writes nothing.
+//!
 //! # Token discipline
 //!
 //! Each of the R chunks is represented by exactly one token, created at
@@ -153,8 +170,7 @@ mod imp {
             // FreeSlot for it can exist and these cells are immutable.
             unsafe {
                 let len = *self.arena.lens[cell].get() as usize;
-                let start = cell * self.arena.cell_bytes;
-                let bytes = std::slice::from_raw_parts(self.arena.data[start].get(), len);
+                let bytes = std::slice::from_raw_parts(self.arena.cell_ptr(cell), len);
                 PacketRef {
                     data: bytes,
                     ts_ns: *self.arena.ts[cell].get(),
@@ -179,8 +195,10 @@ mod imp {
         id: u64,
         m: usize,
         cell_bytes: usize,
-        /// `r * m * cell_bytes` payload bytes.
-        data: Box<[UnsafeCell<u8>]>,
+        /// Bytes from one cell's start to the next (see the module docs).
+        stride: usize,
+        /// `r * m * stride` payload bytes.
+        data: slab::Slab,
         /// Captured length per cell.
         lens: Box<[UnsafeCell<u32>]>,
         /// On-wire length per cell.
@@ -193,8 +211,11 @@ mod imp {
     // FreeSlot and only read through a shared &SealedSlot; the affine
     // token protocol (see module docs) guarantees the two never overlap
     // for the same chunk, and token transfer between threads happens
-    // through synchronizing queues.
+    // through synchronizing queues. The slab's raw pointers name memory
+    // the arena owns until it drops, whichever thread drops it.
     unsafe impl Send for ChunkArena {}
+    // SAFETY: as for Send: shared access writes a cell only through its
+    // chunk's unique &mut FreeSlot.
     unsafe impl Sync for ChunkArena {}
 
     impl std::fmt::Debug for ChunkArena {
@@ -203,6 +224,7 @@ mod imp {
                 .field("id", &self.id)
                 .field("m", &self.m)
                 .field("cell_bytes", &self.cell_bytes)
+                .field("stride", &self.stride)
                 .field("cells", &self.lens.len())
                 .finish()
         }
@@ -217,14 +239,14 @@ mod imp {
         pub fn with_slots(r: usize, m: usize, cell_bytes: usize) -> (Arc<Self>, Vec<FreeSlot>) {
             assert!(r > 0 && m > 0 && cell_bytes > 0);
             let cells = r * m;
+            let stride = cell_bytes.next_multiple_of(64) + 64;
             let id = ARENA_IDS.fetch_add(1, Ordering::Relaxed);
             let arena = Arc::new(ChunkArena {
                 id,
                 m,
                 cell_bytes,
-                data: (0..cells * cell_bytes)
-                    .map(|_| UnsafeCell::new(0))
-                    .collect(),
+                stride,
+                data: slab::Slab::zeroed(cells * stride),
                 lens: (0..cells).map(|_| UnsafeCell::new(0)).collect(),
                 wire: (0..cells).map(|_| UnsafeCell::new(0)).collect(),
                 ts: (0..cells).map(|_| UnsafeCell::new(0)).collect(),
@@ -255,6 +277,14 @@ mod imp {
             assert!((chunk as usize) < self.lens.len() / self.m);
         }
 
+        /// Start of cell `cell`'s payload bytes.
+        fn cell_ptr(&self, cell: usize) -> *mut u8 {
+            assert!(cell < self.lens.len());
+            // SAFETY: cell < r * m, so the offset is inside the
+            // `r * m * stride`-byte slab.
+            unsafe { self.data.as_ptr().add(cell * self.stride) }
+        }
+
         /// Writes one packet into the slot's next free cell, truncating
         /// `data` to the cell size. Returns `false` (without writing) if
         /// the chunk is already full.
@@ -275,8 +305,7 @@ mod imp {
             // chunk, and the cell indices it covers are disjoint from
             // every other chunk's.
             unsafe {
-                let start = cell * self.cell_bytes;
-                let dst = std::slice::from_raw_parts_mut(self.data[start].get(), copied);
+                let dst = std::slice::from_raw_parts_mut(self.cell_ptr(cell), copied);
                 dst.copy_from_slice(&data[..copied]);
                 *self.lens[cell].get() = copied as u32;
                 *self.wire[cell].get() = wire_len;
@@ -328,6 +357,124 @@ mod imp {
             }
         }
     }
+
+    /// The payload buffer: zeroed, 2 MiB-aligned where the platform maps
+    /// anonymous memory, freed when the arena drops.
+    #[cfg(target_os = "linux")]
+    mod slab {
+        // Declared directly, as in `shmring`'s segment, so the workspace
+        // needs no `libc` crate: std already links the C library.
+        extern "C" {
+            fn mmap(
+                addr: *mut u8,
+                length: usize,
+                prot: i32,
+                flags: i32,
+                fd: i32,
+                offset: i64,
+            ) -> *mut u8;
+            fn madvise(addr: *mut u8, length: usize, advice: i32) -> i32;
+            fn munmap(addr: *mut u8, length: usize) -> i32;
+        }
+
+        const PROT_READ: i32 = 0x1;
+        const PROT_WRITE: i32 = 0x2;
+        const MAP_PRIVATE: i32 = 0x02;
+        const MAP_ANONYMOUS: i32 = 0x20;
+        const MAP_FAILED: isize = -1;
+        const MADV_HUGEPAGE: i32 = 14;
+        const HUGE_PAGE: usize = 2 << 20;
+
+        pub(super) struct Slab {
+            /// First payload byte: `map` rounded up to [`HUGE_PAGE`].
+            base: *mut u8,
+            map: *mut u8,
+            map_len: usize,
+        }
+
+        impl Slab {
+            /// Maps `len + 2 MiB` bytes, so that `len` bytes fit after
+            /// the first 2 MiB boundary, and advises the whole 2 MiB
+            /// pages among them as huge pages. The tail stays on 4 KiB
+            /// pages, and nothing is touched here.
+            pub(super) fn zeroed(len: usize) -> Self {
+                let map_len = len + HUGE_PAGE;
+                // SAFETY: a fresh anonymous private mapping; the kernel
+                // chooses the address and zeroes each page on first touch.
+                let map = unsafe {
+                    mmap(
+                        std::ptr::null_mut(),
+                        map_len,
+                        PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS,
+                        -1,
+                        0,
+                    )
+                };
+                assert!(
+                    !map.is_null() && map as isize != MAP_FAILED,
+                    "mmap of {map_len}-byte arena slab failed"
+                );
+                let pad = (map as usize).next_multiple_of(HUGE_PAGE) - map as usize;
+                // SAFETY: pad < HUGE_PAGE, so `base .. base + len` lies
+                // inside the mapping.
+                let base = unsafe { map.add(pad) };
+                let huge = len / HUGE_PAGE * HUGE_PAGE;
+                if huge > 0 {
+                    // SAFETY: advice on whole pages of our own mapping;
+                    // it changes no contents. A failure (THP set to
+                    // `never`) leaves the slab on 4 KiB pages.
+                    unsafe { madvise(base, huge, MADV_HUGEPAGE) };
+                }
+                Slab { base, map, map_len }
+            }
+
+            pub(super) fn as_ptr(&self) -> *mut u8 {
+                self.base
+            }
+        }
+
+        impl Drop for Slab {
+            fn drop(&mut self) {
+                // SAFETY: map/map_len are exactly what mmap returned, and
+                // every borrow of a cell ends before its arena drops.
+                let rc = unsafe { munmap(self.map, self.map_len) };
+                debug_assert_eq!(rc, 0, "munmap of the arena slab failed");
+            }
+        }
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    mod slab {
+        use std::alloc::Layout;
+
+        pub(super) struct Slab {
+            base: *mut u8,
+            layout: Layout,
+        }
+
+        impl Slab {
+            pub(super) fn zeroed(len: usize) -> Self {
+                let layout = Layout::from_size_align(len, 4096).expect("arena slab layout");
+                // SAFETY: non-zero size (r, m and cell_bytes are
+                // asserted positive), valid alignment.
+                let base = unsafe { std::alloc::alloc_zeroed(layout) };
+                assert!(!base.is_null(), "allocating {len}-byte arena slab failed");
+                Slab { base, layout }
+            }
+
+            pub(super) fn as_ptr(&self) -> *mut u8 {
+                self.base
+            }
+        }
+
+        impl Drop for Slab {
+            fn drop(&mut self) {
+                // SAFETY: base/layout are exactly what alloc_zeroed used.
+                unsafe { std::alloc::dealloc(self.base, self.layout) };
+            }
+        }
+    }
 }
 
 pub use imp::{arena_allocations, ChunkArena, ChunkView, FreeSlot, PacketRef, SealedSlot};
@@ -335,6 +482,7 @@ pub use imp::{arena_allocations, ChunkArena, ChunkView, FreeSlot, PacketRef, Sea
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CELL_BYTES;
 
     #[test]
     fn write_seal_view_release_roundtrip() {
@@ -416,5 +564,51 @@ mod tests {
         assert_eq!(sum, (0..8).sum::<u64>());
         arena.release(sealed);
         assert_eq!(arena_allocations(), after_open, "hot path allocated");
+    }
+
+    /// Writes one packet per fill into a fresh chunk of `CELL_BYTES`
+    /// cells and returns the arena with the sealed chunk.
+    fn sealed_chunk(m: usize, fills: &[&[u8]]) -> (std::sync::Arc<ChunkArena>, SealedSlot) {
+        let (arena, slots) = ChunkArena::with_slots(1, m, CELL_BYTES);
+        let mut slot = slots.into_iter().next().unwrap();
+        for (i, fill) in fills.iter().enumerate() {
+            assert!(arena.write_packet(&mut slot, i as u64, fill.len() as u32, fill));
+        }
+        let sealed = arena.seal(slot);
+        (arena, sealed)
+    }
+
+    #[test]
+    fn full_cells_do_not_bleed_into_their_neighbours() {
+        let (a, b) = (vec![0xAA; CELL_BYTES], vec![0x55; CELL_BYTES]);
+        let (arena, sealed) = sealed_chunk(4, &[&a, &b, &a]);
+        let view = arena.view(&sealed);
+        assert_eq!(view.packet(0).data, &a[..]);
+        assert_eq!(view.packet(1).data, &b[..]);
+        assert_eq!(view.packet(2).data, &a[..]);
+    }
+
+    #[test]
+    fn a_chunks_cells_start_in_distinct_l1_sets() {
+        let fills = vec![&b"x"[..]; 64];
+        let (arena, sealed) = sealed_chunk(64, &fills);
+        let sets: std::collections::HashSet<usize> = arena
+            .view(&sealed)
+            .iter()
+            .map(|p| (p.data.as_ptr() as usize / 64) % 64)
+            .collect();
+        assert_eq!(sets.len(), 64);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_huge_page_sized_arena_starts_on_a_huge_page() {
+        const { assert!(16 * 64 * CELL_BYTES >= 2 << 20) };
+        let (arena, slots) = ChunkArena::with_slots(16, 64, CELL_BYTES);
+        let mut first = slots.into_iter().next().unwrap();
+        assert!(arena.write_packet(&mut first, 0, 1, b"x"));
+        let sealed = arena.seal(first);
+        let start = arena.view(&sealed).packet(0).data.as_ptr() as usize;
+        assert_eq!(start % (2 << 20), 0);
     }
 }

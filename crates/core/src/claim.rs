@@ -89,7 +89,14 @@ mod imp {
         open_producers: AtomicUsize,
     }
 
+    // SAFETY: a cell's value is written only by the producer that won
+    // the publish CAS for its position, and read only by the worker that
+    // won the claim CAS for it; the per-cell ticket's Release/Acquire
+    // pair orders the write before the read. Values cross threads, so
+    // `T: Send` is required and sufficient.
     unsafe impl<T: Send> Send for ClaimQueue<T> {}
+    // SAFETY: shared access only publishes and claims through the
+    // ticket protocol above; no `&T` is ever handed out.
     unsafe impl<T: Send> Sync for ClaimQueue<T> {}
 
     impl<T> ClaimQueue<T> {
@@ -139,6 +146,10 @@ mod imp {
                         Ordering::Relaxed,
                     ) {
                         Ok(_) => {
+                            // SAFETY: winning the publish CAS for `pos`
+                            // makes this producer the cell's only
+                            // writer, and the ticket (== pos) says no
+                            // claimer reads it until the store below.
                             unsafe { (*cell.value.get()).write(item) };
                             cell.ticket.store(pos + 1, Ordering::Release);
                             return Ok(());
@@ -171,6 +182,10 @@ mod imp {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
+                        // SAFETY: the Acquire load saw ticket == pos + 1,
+                        // so the value was written and published; winning
+                        // the claim CAS makes this the only read of it
+                        // before the ticket hands the cell back.
                         let value = unsafe { (*cell.value.get()).assume_init_read() };
                         cell.ticket.store(pos + self.mask + 1, Ordering::Release);
                         Claim::Claimed(value)
@@ -222,6 +237,9 @@ mod imp {
             for pos in claim..publish {
                 let cell = &mut self.cells[pos & self.mask];
                 if *cell.ticket.get_mut() == pos + 1 {
+                    // SAFETY: ticket == pos + 1 means published and not
+                    // claimed, so the value is initialized and owned
+                    // here; `&mut self` rules out a concurrent claim.
                     unsafe { cell.value.get_mut().assume_init_drop() };
                 }
             }

@@ -54,6 +54,8 @@ mod imp {
     // pop_batch; the head/tail protocol ensures a slot is never read and
     // written concurrently, and the guards serialize same-side callers.
     unsafe impl<T: Send> Send for BatchRing<T> {}
+    // SAFETY: as for Send: shared callers reach slots only through the
+    // guarded push/pop protocol, never through a `&T`.
     unsafe impl<T: Send> Sync for BatchRing<T> {}
 
     impl<T> std::fmt::Debug for BatchRing<T> {

@@ -179,12 +179,14 @@ mod imp {
         mask: usize,
     }
 
-    // The cells are plain memory coordinated entirely through
+    // SAFETY: the cells are plain memory coordinated entirely through
     // `top`/`bottom`: a slot is readable only inside `[top, bottom)`,
     // and ownership of the value transfers with the CAS on `top` (or
     // the owner's exclusive access to `bottom`). `T: Send` is all the
     // cells themselves require.
     unsafe impl<T: Send> Send for Inner<T> {}
+    // SAFETY: as for Send: thieves reach a value only by winning the CAS
+    // on `top`, so shared access never yields a `&T`.
     unsafe impl<T: Send> Sync for Inner<T> {}
 
     impl<T> Inner<T> {

@@ -75,6 +75,7 @@ pub(crate) struct RingMem {
 // owns it and read only between DD-publish and recycle), which the
 // ShmQueue protocol enforces.
 unsafe impl Send for RingMem {}
+// SAFETY: as for Send: shared access is atomics plus the slot protocol.
 unsafe impl Sync for RingMem {}
 
 impl RingMem {

@@ -18,6 +18,10 @@ fi
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "==> cargo clippy -p wirecap -p shmring -- -D clippy::undocumented_unsafe_blocks"
+    # Every unsafe block and unsafe impl in the two crates that own the
+    # engine's unsafe code carries a SAFETY comment.
+    cargo clippy -p wirecap -p shmring -- -D clippy::undocumented_unsafe_blocks
 else
     echo "    clippy not installed; skipping"
 fi

@@ -85,6 +85,8 @@ pub mod queue {
     // SAFETY: the per-slot stamp protocol hands each value from exactly
     // one producer to exactly one consumer with Release/Acquire pairs.
     unsafe impl<T: Send> Send for ArrayQueue<T> {}
+    // SAFETY: as for Send: values move in and out by the stamp protocol;
+    // a shared `&ArrayQueue` never yields a `&T`.
     unsafe impl<T: Send> Sync for ArrayQueue<T> {}
 
     impl<T> ArrayQueue<T> {

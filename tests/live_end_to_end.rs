@@ -7,6 +7,7 @@
 use netproto::{FlowKey, PacketBuilder};
 use nicsim::livenic::LiveNic;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wirecap::buddy::BuddyGroups;
 use wirecap::live::LiveWireCap;
@@ -89,8 +90,9 @@ fn multi_pkt_handler_processes_all_queues() {
 
 #[test]
 fn offloading_moves_chunks_in_live_mode() {
-    // Two queues, one buddy group; a consumer only on queue 1, so queue
-    // 0's chunks MUST offload to survive. Force offloading with T = 0.
+    // Two queues, one buddy group, and one flow, so one queue gets every
+    // packet. Its consumer takes nothing until that queue has offloaded
+    // a chunk, so offloading must fire; T = 0 lets the first backlog do it.
     let nic = LiveNic::new(2, 8192);
     let mut config = WireCapConfig::advanced(64, 32, 0.0, 0);
     config.capture_timeout_ns = 1_500_000;
@@ -100,31 +102,6 @@ fn offloading_moves_chunks_in_live_mode() {
         .groups(BuddyGroups::single(2))
         .start();
 
-    // A consumer on each queue; queue 0's consumer is deliberately slow.
-    let fast = {
-        let mut c = engine.consumer(1);
-        std::thread::spawn(move || {
-            let mut n = 0u64;
-            while let Some(chunk) = c.next_chunk() {
-                n += chunk.len() as u64;
-                c.recycle(chunk);
-            }
-            n
-        })
-    };
-    let slow = {
-        let mut c = engine.consumer(0);
-        std::thread::spawn(move || {
-            let mut n = 0u64;
-            while let Some(chunk) = c.next_chunk() {
-                n += chunk.len() as u64;
-                std::thread::sleep(std::time::Duration::from_micros(500));
-                c.recycle(chunk);
-            }
-            n
-        })
-    };
-    // All packets belong to ONE flow → one queue gets everything.
     let mut b = PacketBuilder::new();
     let flow = FlowKey::udp(
         Ipv4Addr::new(131, 225, 2, 9),
@@ -132,14 +109,56 @@ fn offloading_moves_chunks_in_live_mode() {
         Ipv4Addr::new(10, 0, 0, 9),
         443,
     );
-    for i in 0..6_000u64 {
+    // The first injection names the flow's queue, whatever the hash.
+    let first = b.build_packet(0, &flow, 128).unwrap();
+    let busy = loop {
+        match nic.inject(first.clone()) {
+            Some(q) => break q,
+            None => std::thread::yield_now(),
+        }
+    };
+    let injected = Arc::new(AtomicBool::new(false));
+
+    let fast = {
+        let mut c = engine.consumer(1 - busy);
+        std::thread::spawn(move || {
+            let mut n = 0u64;
+            while let Some(chunk) = c.next_chunk() {
+                n += chunk.len() as u64;
+                c.recycle(chunk);
+            }
+            n
+        })
+    };
+    let gated = {
+        let mut c = engine.consumer(busy);
+        let observer = engine.observer();
+        let injected = Arc::clone(&injected);
+        std::thread::spawn(move || {
+            // The NIC ring holds all 6,000 packets, so injection never
+            // waits on this consumer and the backlog builds regardless.
+            while observer.snapshot().queues[busy].offloaded_out_chunks == 0
+                && !injected.load(Ordering::Acquire)
+            {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            let mut n = 0u64;
+            while let Some(chunk) = c.next_chunk() {
+                n += chunk.len() as u64;
+                c.recycle(chunk);
+            }
+            n
+        })
+    };
+    for i in 1..6_000u64 {
         let pkt = b.build_packet(i, &flow, 128).unwrap();
         while nic.inject(pkt.clone()).is_none() {
             std::thread::yield_now();
         }
     }
+    injected.store(true, Ordering::Release);
     nic.stop();
-    let total = fast.join().unwrap() + slow.join().unwrap();
+    let total = fast.join().unwrap() + gated.join().unwrap();
     let tel = engine.snapshot().total();
     let offloaded = tel.offloaded_in_chunks;
     let captured = tel.captured_packets;

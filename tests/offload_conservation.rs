@@ -38,6 +38,7 @@ use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use shmring::ShmRingNic;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use telemetry::EngineSnapshot;
@@ -72,10 +73,23 @@ enum EarlyExit {
     Holding,
 }
 
+/// How the home queue's consumer builds the backlog that makes
+/// offloading fire.
+#[derive(Debug, Clone, Copy)]
+enum Pressure {
+    /// Sleep this many µs per chunk: offloading fires only if the
+    /// injector outpaces the consumer, so it may or may not.
+    SleepPerChunk(u64),
+    /// Take nothing until the home queue has offloaded this many chunks
+    /// (or the injector is done), then drain. Every run's packets fit
+    /// in the NIC ring, so injection never waits on the consumer and
+    /// the backlog reaches T·R whatever the injection rate.
+    UntilOffloaded(u64),
+}
+
 /// One randomized run: `total` packets of a single flow, the offload
 /// target's consumer exiting as `early` says, and the home queue's
-/// consumer slowed by `busy_sleep_us` per chunk (backlog pressure that
-/// makes offloading fire). `r` is the pool size in chunks
+/// consumer applying `pressure`. `r` is the pool size in chunks
 /// (`SEGMENTS + 1 ..= R`): offloading and the stranded-chunk rescue
 /// must conserve with a shrunk pool just as with the default. Returns
 /// the final snapshot.
@@ -83,7 +97,7 @@ fn run_interleaving(
     backend: Arc<dyn LoopbackBackend>,
     total: u64,
     early: EarlyExit,
-    busy_sleep_us: u64,
+    pressure: Pressure,
     r: usize,
 ) -> EngineSnapshot {
     let mut cfg = WireCapConfig::advanced(M, r, 0.2, 0);
@@ -112,15 +126,25 @@ fn run_interleaving(
         }
     };
     let target = 1 - busy;
+    let injected = Arc::new(AtomicBool::new(false));
 
-    // Home-queue consumer: runs to completion, artificially slow so the
-    // capture queue backs up past T and offloading engages.
+    // Home-queue consumer: runs to completion, held back so the capture
+    // queue backs up past T and offloading engages.
     let busy_thread = {
         let mut c = engine.consumer(busy);
+        let observer = engine.observer();
+        let injected = Arc::clone(&injected);
         std::thread::spawn(move || {
+            if let Pressure::UntilOffloaded(chunks) = pressure {
+                while observer.snapshot().queues[busy].offloaded_out_chunks < chunks
+                    && !injected.load(Ordering::Acquire)
+                {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            }
             while let Some(chunk) = c.next_chunk() {
-                if busy_sleep_us > 0 {
-                    std::thread::sleep(Duration::from_micros(busy_sleep_us));
+                if let Pressure::SleepPerChunk(us @ 1..) = pressure {
+                    std::thread::sleep(Duration::from_micros(us));
                 }
                 c.recycle(chunk);
             }
@@ -161,6 +185,7 @@ fn run_interleaving(
 
     let injector = {
         let backend = Arc::clone(&backend);
+        let injected = Arc::clone(&injected);
         std::thread::spawn(move || {
             let mut b = PacketBuilder::new();
             let flow = FlowKey::udp(
@@ -175,6 +200,7 @@ fn run_interleaving(
                     std::thread::yield_now();
                 }
             }
+            injected.store(true, Ordering::Release);
             backend.stop().expect("stop backend");
         })
     };
@@ -246,7 +272,7 @@ proptest! {
                 backend,
                 total,
                 EarlyExit::After(early_chunks),
-                busy_sleep_us,
+                Pressure::SleepPerChunk(busy_sleep_us),
                 r,
             );
             assert_conserved(&snap, total);
@@ -254,15 +280,21 @@ proptest! {
     }
 }
 
-/// Deterministic companion: pressure high enough that offloading
-/// demonstrably fires (the proptest above must hold whether or not it
-/// does; this pins that the scenario actually exercises the offload
-/// path and the stranded-chunk rescue).
+/// Deterministic companion: the home queue's consumer waits for the
+/// first offload, so offloading demonstrably fires (the proptest above
+/// must hold whether or not it does; this pins that the scenario
+/// actually exercises the offload path and the stranded-chunk rescue).
 #[test]
 fn offloads_fire_and_survive_target_consumer_exit() {
     for backend in backends() {
         let name = backend.name();
-        let snap = run_interleaving(backend, 6_000, EarlyExit::After(2), 300, R);
+        let snap = run_interleaving(
+            backend,
+            6_000,
+            EarlyExit::After(2),
+            Pressure::UntilOffloaded(1),
+            R,
+        );
         assert_conserved(&snap, 6_000);
         let out: u64 = snap.queues.iter().map(|q| q.offloaded_out_chunks).sum();
         assert!(
@@ -279,7 +311,13 @@ fn offloads_fire_and_survive_target_consumer_exit() {
 fn early_exit_drops_are_charged_to_the_home_queue() {
     for backend in backends() {
         let name = backend.name();
-        let snap = run_interleaving(backend, 6_000, EarlyExit::Holding, 300, R);
+        let snap = run_interleaving(
+            backend,
+            6_000,
+            EarlyExit::Holding,
+            Pressure::UntilOffloaded(2),
+            R,
+        );
         assert_conserved(&snap, 6_000);
         let dropped: u64 = snap.queues.iter().map(|q| q.delivery_drop_packets).sum();
         assert!(
